@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .cfg import CapacityError, assign_block_tags, build_cfg, count_paths, dump_cfg
-from .executor import GlobalMaps, run
+from .executor import DEFAULT_MAX_STEPS, STATUS_BY_CODE, GlobalMaps, compile_step, run
 from .frontend import Program, list_error_ids, parse_program
 from .fuzzer import (
     FuzzConfig,
@@ -30,7 +30,7 @@ from .gen import (
     DEFAULT_VARS,
     generate_source,
 )
-from .instrument import AdequacyInconclusive, select_instrumentation
+from .instrument import select_instrumentation
 from .interval import analyze
 from .oracle import DEFAULT_DEPTH_CAP, DEFAULT_STATE_CAP, bfs_reachability
 
@@ -90,11 +90,7 @@ def cmd_analyze(args) -> int:
         print(dump_cfg(g), end="")
         print(f"paths: {count_paths(g)}")
     if sections["plan"]:
-        try:
-            plan = select_instrumentation(g)
-        except AdequacyInconclusive as exc:
-            print(f"instrumentation selection inconclusive: {exc}", file=sys.stderr)
-            return 2
+        plan = select_instrumentation(g)
         s, v = len(plan.instrumented), len(g.blocks)
         print(f"|S| = {s} of |V| = {v} (ratio {s / v:.2f})")
         print("instrumented:", " ".join(str(b) for b in sorted(plan.instrumented)))
@@ -140,7 +136,7 @@ def cmd_fuzz(args) -> int:
     try:
         campaign = init_campaign(program, config, seed=args.seed)
         result = fuzz_loop(campaign, max_execs=max_execs, max_seconds=args.max_seconds)
-    except (CapacityError, AdequacyInconclusive) as exc:
+    except CapacityError as exc:
         print(f"cannot fuzz {args.file}: {exc}", file=sys.stderr)
         return 2
     try:
@@ -186,6 +182,18 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+def _replay_status(program: Program, step, seq) -> "tuple[str, int | None]":
+    """Status and error id that the campaign target reports for seq, found
+    by uninstrumented steps from the initial valuation."""
+    values = program.initial_values()
+    for sym in seq[:DEFAULT_MAX_STEPS]:
+        code, error_id, values = step(values, sym)
+        if code:
+            return STATUS_BY_CODE[code], error_id if code == 1 else None
+    # code 3 (step_limit): the target stops a sequence longer than the bound
+    return STATUS_BY_CODE[3 if len(seq) > DEFAULT_MAX_STEPS else 0], None
+
+
 def cmd_report(args) -> int:
     program, code = _load_program(args.file)
     if program is None:
@@ -196,17 +204,15 @@ def cmd_report(args) -> int:
     except OSError as exc:
         print(f"cannot read {stats_path}: {exc}", file=sys.stderr)
         return 2
-    g = assign_block_tags(build_cfg(program), 0)
-    plan = select_instrumentation(g)
+    step = compile_step(program)
     found = {}
     for key, record in stats.get("errors", {}).items():
         found[int(key)] = tuple(record["witness"])
     for k, witness in sorted(found.items()):
-        result = run(program, g, plan, witness)
-        if result.status != "error" or result.error_id != k:
+        status, error_id = _replay_status(program, step, witness)
+        if status != "error" or error_id != k:
             print(
-                f"witness for error {k} does not replay "
-                f"(got {result.status}/{result.error_id})",
+                f"witness for error {k} does not replay (got {status}/{error_id})",
                 file=sys.stderr,
             )
             return 2

@@ -43,7 +43,7 @@ STATUS_OK = "ok"
 STATUS_ERROR = "error"
 STATUS_INVALID = "invalid_input"
 STATUS_STEP_LIMIT = "step_limit"
-_STATUS_BY_CODE = (STATUS_OK, STATUS_ERROR, STATUS_INVALID, STATUS_STEP_LIMIT)
+STATUS_BY_CODE = (STATUS_OK, STATUS_ERROR, STATUS_INVALID, STATUS_STEP_LIMIT)
 
 
 def _build_bucket_lut() -> bytes:
@@ -322,6 +322,43 @@ class _ExprGen:
                 return f"({self.wrapped(e.lhs)} {e.op} {self.wrapped(e.rhs)})"
         return f"({self.wrapped(e)} != 0)"
 
+    def assign(self, target: str, e, pad: str) -> "list[str]":
+        """Statements storing the exact signed-64 value of e in target.
+
+        An arithmetic result is wrapped only when it leaves the signed
+        64-bit range: two comparisons cost less than the three big-int
+        operations of an unconditional wrap.
+        """
+        arith = (isinstance(e, Unary) and e.op == "-") or (
+            isinstance(e, Binary) and e.op in ("+", "-", "*")
+        )
+        if not arith:
+            return [f"{pad}{target} = {self.wrapped(e)}"]
+        return [
+            f"{pad}{target} = {self.value(e)}",
+            f"{pad}if {target} > {_WRAP_BIAS - 1} or {target} < {-_WRAP_BIAS}:",
+            f"{pad}    {target} = {_wrap_src(target)}",
+        ]
+
+
+_DEAD = -1  # known-prev value of a path that has left the step loop
+
+
+def _probe(lines: "list[str]", pad: str, prev: "int | None", tag: int) -> None:
+    """Hit-count one instrumented block. prev is the previous tag when it
+    is known at compile time, which folds the map index to a constant."""
+    if prev is None:
+        lines.append(f"{pad}i = (prev >> 1) ^ {tag}")
+        idx = "i"
+    else:
+        idx = str((prev >> 1) ^ tag)
+    lines.append(f"{pad}c = m[{idx}]")
+    lines.append(f"{pad}if c:")
+    lines.append(f"{pad}    m[{idx}] = c + 1")
+    lines.append(f"{pad}else:")
+    lines.append(f"{pad}    m[{idx}] = 1")
+    lines.append(f"{pad}    t_append({idx})")
+
 
 def _emit_body(
     g: Cfg,
@@ -331,31 +368,31 @@ def _emit_body(
     bid: int,
     stop: "int | None",
     depth: int,
-) -> None:
+    prev: "int | None" = None,
+) -> "int | None":
     """Emit structured Python for the block subgraph from bid up to stop.
 
     The lowering only produces series-parallel DAGs, so every branch
     carries the join hint needed to rebuild if/else nesting.
+
+    prev is the previous tag known at compile time on entry, or None when
+    only the runtime register `prev` holds it; the value known on exit is
+    returned (_DEAD when every path breaks out). A known tag is stored to
+    the register only where paths with different tags join, or by the
+    caller at the end of the step.
     """
     pad = "    " * depth
     tags = g.tags
     while bid != stop:
         blk = g.block(bid)
         if bid in instrumented:
-            t = tags[bid]
-            lines.append(f"{pad}i = (prev >> 1) ^ {t}")
-            lines.append(f"{pad}c = m[i]")
-            lines.append(f"{pad}if c == 0:")
-            lines.append(f"{pad}    m[i] = 1")
-            lines.append(f"{pad}    t.append(i)")
-            lines.append(f"{pad}elif c < 255:")
-            lines.append(f"{pad}    m[i] = c + 1")
-            lines.append(f"{pad}prev = {t}")
+            _probe(lines, pad, prev, tags[bid])
+            prev = tags[bid]
         for st in blk.stmts:
             if isinstance(st, Assign):
-                lines.append(f"{pad}{gen.rename[st.name]} = {gen.wrapped(st.expr)}")
+                lines.extend(gen.assign(gen.rename[st.name], st.expr, pad))
             else:
-                lines.append(f"{pad}out.append({st.value})")
+                lines.append(f"{pad}out_append({st.value})")
         term = blk.term
         if isinstance(term, Jump):
             bid = term.target
@@ -365,11 +402,13 @@ def _emit_body(
                 lines.append(f"{pad}st = 1")
                 lines.append(f"{pad}err = {term.error_id}")
                 lines.append(f"{pad}break")
-            elif term.kind is ExitKind.INVALID_INPUT:
+                return _DEAD
+            if term.kind is ExitKind.INVALID_INPUT:
                 lines.append(f"{pad}st = 2")
                 lines.append(f"{pad}break")
+                return _DEAD
             # ok-exits fall through to the step epilogue
-            return
+            return prev
         join = term.join_id
         then_id, else_id = term.then_id, term.else_id
         if then_id == else_id:
@@ -377,32 +416,54 @@ def _emit_body(
             bid = then_id
             continue
         if then_id == join:
-            lines.append(f"{pad}if not {gen.truth(term.cond)}:")
-            _emit_arm(g, instrumented, gen, lines, else_id, join, depth + 1)
+            head = f"if not {gen.truth(term.cond)}:"
+            arm_ids = [else_id]
         else:
-            lines.append(f"{pad}if {gen.truth(term.cond)}:")
-            _emit_arm(g, instrumented, gen, lines, then_id, join, depth + 1)
-            if else_id != join:
-                lines.append(f"{pad}else:")
-                _emit_arm(g, instrumented, gen, lines, else_id, join, depth + 1)
+            head = f"if {gen.truth(term.cond)}:"
+            arm_ids = [then_id] if else_id == join else [then_id, else_id]
+        arms = []
+        for arm_id in arm_ids:
+            sub: "list[str]" = []
+            arms.append((sub, _emit_body(g, instrumented, gen, sub, arm_id, join, depth + 1, prev)))
+        ends = [k for _, k in arms]
+        if len(arms) == 1:
+            ends.append(prev)  # the path that skips the single arm
+        live = {k for k in ends if k != _DEAD}
+        if len(live) > 1:
+            # the paths disagree: each one stores its known tag
+            if len(arms) == 1 and prev is not None:
+                lines.append(f"{pad}prev = {prev}")
+            for sub, k in arms:
+                if k is not None and k != _DEAD:
+                    sub.append(f"{pad}    prev = {k}")
+            prev = None
+        else:
+            prev = live.pop() if live else _DEAD
+        lines.append(pad + head)
+        lines.extend(arms[0][0] or [pad + "    pass"])
+        if len(arms) == 2:
+            lines.append(pad + "else:")
+            lines.extend(arms[1][0] or [pad + "    pass"])
         if join is None:
-            return
+            return prev
         bid = join
-
-
-def _emit_arm(g, instrumented, gen, lines, bid, stop, depth) -> None:
-    mark = len(lines)
-    _emit_body(g, instrumented, gen, lines, bid, stop, depth)
-    if len(lines) == mark:
-        lines.append("    " * depth + "pass")
+    return prev
 
 
 def _generate_source(program: Program, g: Cfg, instrumented: frozenset) -> str:
+    """Source of the campaign target.
+
+    The valid prefix of the input is found before the step loop: C-level
+    min/max settle the usual all-valid case, so steps carry no bounds or
+    step-limit checks, and the loop's else clause sets the status the
+    prefix ended on.
+    """
     rename = {name: f"_g{i}" for i, (name, _) in enumerate(program.globals)}
     rename[program.param] = "_s"
     gen = _ExprGen(rename)
     gvars = [rename[name] for name in program.global_names()]
     tuple_src = "(" + "".join(v + ", " for v in gvars) + ")"
+    lo, hi = program.alphabet_lo, program.alphabet_hi
 
     lines = [
         "def _target(seq, max_steps, m, t, sk, kc, out, _fnv=state_key):",
@@ -410,29 +471,41 @@ def _generate_source(program: Program, g: Cfg, instrumented: frozenset) -> str:
     for (name, init) in program.globals:
         lines.append(f"    {rename[name]} = {init}")
     lines.append(f"    prev = {g.tags[g.entry]}")
-    lines.append("    st = 0")
     lines.append("    err = -1")
-    lines.append("    steps = 0")
-    lines.append("    for _s in seq:")
-    lines.append("        if steps >= max_steps:")
-    lines.append("            st = 3")
-    lines.append("            break")
-    lines.append(
-        f"        if _s < {program.alphabet_lo} or _s > {program.alphabet_hi}:"
-    )
-    lines.append("            st = 2")
-    lines.append("            break")
-    _emit_body(g, instrumented, gen, lines, g.entry, None, 2)
-    lines.append("        steps += 1")
+    lines.append("    t_append = t.append")
+    lines.append("    sk_append = sk.append")
+    lines.append("    out_append = out.append")
+    lines.append("    base = len(sk)")
+    lines.append("    seq = tuple(seq)")
+    lines.append("    n = len(seq)")
+    lines.append("    end = n")
+    lines.append("    tail = 0")
+    lines.append("    if n > max_steps:")
+    lines.append("        end = max_steps if max_steps > 0 else 0")
+    lines.append("        tail = 3")
+    lines.append(f"    if n and (min(seq) < {lo} or max(seq) > {hi}):")
+    lines.append("        j = 0")
+    lines.append(f"        while j < end and {lo} <= seq[j] <= {hi}:")
+    lines.append("            j += 1")
+    lines.append("        if j < end:")
+    lines.append("            end = j")
+    lines.append("            tail = 2")
+    lines.append("    for _s in (seq if end == n else seq[:end]):")
+    last = _emit_body(g, instrumented, gen, lines, g.entry, None, 2)
+    if last is not None and last != _DEAD:
+        lines.append(f"        prev = {last}")
     lines.append(f"        v = {tuple_src}")
-    lines.append("        e = kc.get(v)")
-    lines.append("        if e is None:")
+    lines.append("        try:")
+    lines.append("            sk_append(kc[v])")
+    lines.append("        except KeyError:")
     lines.append("            k = _fnv(v)")
     lines.append("            i = k & 0xFFFF")
     lines.append("            e = (k, i >> 3, 1 << (i & 7))")
     lines.append("            kc[v] = e")
-    lines.append("        sk.append(e)")
-    lines.append(f"    return st, err, steps, {tuple_src}")
+    lines.append("            sk_append(e)")
+    lines.append("    else:")
+    lines.append("        st = tail")
+    lines.append(f"    return st, err, len(sk) - base, {tuple_src}")
     return "\n".join(lines) + "\n"
 
 
@@ -443,6 +516,9 @@ class CompiledTarget:
     fn(seq, max_steps, counts, touched, state_entries, key_cache, outputs)
     -> (status_code, error_id, steps, final_values); callers own the
     buffers, so campaign loops can reuse scratch storage across runs.
+    counts is a list of MAP_SIZE ints that the run leaves zero outside
+    touched; its hit counts are not saturated (a list index costs less
+    than a bytearray one), so readers clamp them at 255.
     state_entries collects one cached (key, byte_index, bit_mask) triple
     per completed step so map merging needs no per-step arithmetic.
     """
@@ -454,16 +530,19 @@ class CompiledTarget:
     key_cache: dict = field(default_factory=dict)
 
     def run(self, input_seq, max_steps: int = DEFAULT_MAX_STEPS) -> ExecResult:
-        counts = bytearray(MAP_SIZE)
+        hits = [0] * MAP_SIZE
         touched: "list[int]" = []
         entries: "list[tuple[int, int, int]]" = []
         outputs: "list[int]" = []
         code, err, steps, final = self.fn(
-            input_seq, max_steps, counts, touched, entries, self.key_cache, outputs
+            input_seq, max_steps, hits, touched, entries, self.key_cache, outputs
         )
+        counts = bytearray(MAP_SIZE)
+        for i in touched:
+            counts[i] = min(hits[i], 255)
         key_tuple = tuple(e[0] for e in entries)
         return ExecResult(
-            status=_STATUS_BY_CODE[code],
+            status=STATUS_BY_CODE[code],
             error_id=err if code == 1 else None,
             steps=steps,
             counts=counts,
@@ -508,6 +587,7 @@ def compile_step(program: Program):
     if gvars:
         lines.append(f"    {unpack}= values")
     lines.append("    out = []")
+    lines.append("    out_append = out.append")
     lines.append("    st = 0")
     lines.append("    err = -1")
     lines.append(f"    if _s < {program.alphabet_lo} or _s > {program.alphabet_hi}:")

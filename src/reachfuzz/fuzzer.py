@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
+from math import floor
+from operator import itemgetter
 from pathlib import Path
 
 from random import Random
@@ -33,6 +35,9 @@ from .instrument import InstrumentationPlan, select_instrumentation
 from .interval import IntervalSummary, analyze
 
 MAX_SEED_SYMBOLS = 256
+
+_BUCKETS = list(BUCKET_LUT)  # indexed by a hit count below 256; 128 and up map to 0x80
+_KEY = itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -144,33 +149,36 @@ def mutate(seq, pool_values, rng: Random, max_len: int = 4096, corpus=None) -> "
     Symbols come from the weighted pool; length stays in [1, max_len].
     Deletes on length-1 inputs degrade to replaces, oversized inserts and
     duplications degrade likewise, so every stacking step mutates.
+
+    Draws are truncated with floor, which equals int on the non-negative
+    floats of rng.random() and is the cheaper call.
     """
     out = list(seq)
     npool = len(pool_values)
     rand = rng.random
-    stack = 2 << int(rand() * 6.0)
+    stack = 2 << floor(rand() * 6.0)
     for _ in range(stack):
-        op = int(rand() * 5.0)
+        op = floor(rand() * 5.0)
         n = len(out)
         if op == 1 and n > 1:
-            del out[int(rand() * n)]
+            del out[floor(rand() * n)]
         elif op == 2 and n < max_len:
-            out.insert(int(rand() * (n + 1)), pool_values[int(rand() * npool)])
+            out.insert(floor(rand() * (n + 1)), pool_values[floor(rand() * npool)])
         elif op == 3 and n > 1:
-            start = int(rand() * n)
-            end = start + 1 + int(rand() * min(n - start, 16))
-            at = int(rand() * (n + 1))
+            start = floor(rand() * n)
+            end = start + 1 + floor(rand() * min(n - start, 16))
+            at = floor(rand() * (n + 1))
             out[at:at] = out[start:end]
             del out[max_len:]
         elif op == 4 and corpus is not None and len(corpus) > 1:
-            other = corpus[int(rand() * len(corpus))].input
-            cut_a = 1 + int(rand() * n)
-            cut_b = int(rand() * (len(other) + 1))
+            other = corpus[floor(rand() * len(corpus))].input
+            cut_a = 1 + floor(rand() * n)
+            cut_b = floor(rand() * (len(other) + 1))
             del out[cut_a:]
             out.extend(other[cut_b:])
             del out[max_len:]
         else:
-            out[int(rand() * n)] = pool_values[int(rand() * npool)]
+            out[floor(rand() * n)] = pool_values[floor(rand() * npool)]
     return tuple(out)
 
 
@@ -211,26 +219,30 @@ def _execute_and_merge(c: Campaign, scratch, candidate) -> "tuple[int, int, bool
     c.execs += 1
     maps = c.maps
     virgin = maps.virgin_branch
-    lut = BUCKET_LUT
+    lut = _BUCKETS
     new_branch = False
     for idx in touched:
-        mask = lut[counts[idx]]
+        n = counts[idx]
         counts[idx] = 0
+        mask = lut[n] if n < 256 else 0x80
         cur = virgin[idx]
         if mask & ~cur:
             virgin[idx] = cur | mask
             new_branch = True
     new_state = False
-    bits = maps.state_bits
     skeys = maps.state_keys
-    track = len(skeys) < maps.state_key_cap
-    for key, bi, mask in keys:
-        b = bits[bi]
-        if not b & mask:
-            bits[bi] = b | mask
-            new_state = True
-        if track:
-            skeys.add(key)
+    # every key in state_keys has its state bit set, so a run whose keys
+    # are all there can change nothing
+    if not skeys.issuperset(map(_KEY, keys)):
+        bits = maps.state_bits
+        track = len(skeys) < maps.state_key_cap
+        for key, bi, mask in keys:
+            b = bits[bi]
+            if not b & mask:
+                bits[bi] = b | mask
+                new_state = True
+            if track:
+                skeys.add(key)
     return code, err, new_branch, new_state
 
 
@@ -281,7 +293,7 @@ def init_campaign(program: Program, config: "FuzzConfig | None" = None, seed: in
             )
         )
 
-    scratch = (bytearray(MAP_SIZE), [], [], [])
+    scratch = ([0] * MAP_SIZE, [], [], [])
     for s in seeds:
         code, err, new_branch, new_state = _execute_and_merge(c, scratch, s)
         if code == 1:
@@ -309,9 +321,11 @@ def _solo_signature(target: CompiledTarget, seq, max_steps: int, scratch):
     code, err, _steps, _final = target.fn(
         seq, max_steps, counts, touched, keys, target.key_cache, outs
     )
+    lut = _BUCKETS
     buckets = []
     for i in touched:
-        buckets.append((i, BUCKET_LUT[counts[i]]))
+        n = counts[i]
+        buckets.append((i, lut[n] if n < 256 else 0x80))
         counts[i] = 0
     buckets.sort()
     return (code, err, tuple(buckets), frozenset(e[0] & 0xFFFF for e in keys))
@@ -326,7 +340,7 @@ def trim(c: Campaign, seq) -> "tuple[int, ...]":
     subset of an already-merged run, and polluting the virgin maps with
     unretained intermediates would break retention accounting.
     """
-    scratch = (bytearray(MAP_SIZE), [], [], [])
+    scratch = ([0] * MAP_SIZE, [], [], [])
     max_steps = c.config.max_steps
     base = _solo_signature(c.target, seq, max_steps, scratch)
     c.execs += 1
@@ -365,7 +379,7 @@ def fuzz_loop(
     config = c.config
     use_state = config.use_state_fitness
     total_ids = len(c.all_error_ids)
-    scratch = (bytearray(MAP_SIZE), [], [], [])
+    scratch = ([0] * MAP_SIZE, [], [], [])
 
     def done() -> bool:
         if max_execs is not None and c.execs >= max_execs:

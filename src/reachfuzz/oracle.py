@@ -86,7 +86,8 @@ def bfs_reachability(
             depth[nxt] = d + 1
             frontier.append(nxt)
 
-    assert set(reachable) <= error_ids
+    if not set(reachable) <= error_ids:
+        raise RuntimeError(f"undeclared error ids {sorted(set(reachable) - error_ids)}")
     return OracleResult(
         reachable=reachable,
         explored_states=len(parents),

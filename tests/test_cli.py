@@ -4,12 +4,21 @@ import json
 
 import pytest
 
+import reachfuzz.cli
+from reachfuzz.cfg import build_cfg, count_paths
 from reachfuzz.cli import main
+from reachfuzz.executor import DEFAULT_MAX_STEPS
 from reachfuzz.fuzzer import FuzzConfig
-from reachfuzz.frontend import parse_or_raise
+from reachfuzz.frontend import list_error_ids, parse_or_raise
 from reachfuzz.gen import generate_source
 
 BAD = "inputs 1..5; var a = 1; var a = 2; step(in){}"
+# 25 sequential ifs: 2^25 step paths, past any path-enumeration budget
+MANY_IFS = (
+    "inputs 1..5; var a = 0; step(in){ "
+    + " ".join(f"if (in == {k % 5 + 1}) {{ a = {k % 7}; }}" for k in range(24))
+    + " if (a == 6) { error 1; } }"
+)
 
 
 def run(capsys, *argv):
@@ -137,6 +146,61 @@ def test_report_csv_ascending_and_verified(tmp_path, capsys):
         k, verdict = line.split(",")
         assert verdict in ("error_reachable", "UNKNOWN")
     assert any(l.endswith("error_reachable") for l in lines)
+
+
+def test_report_replays_without_a_plan(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "p.rrp"
+    f.write_text(generate_source(seed=3))
+    out_dir = tmp_path / "camp"
+    run(capsys, "fuzz", str(f), "--seed", "1",
+        "--max-execs", "2000", "--out", str(out_dir))
+
+    def no_plan(g):
+        raise AssertionError("report must not select instrumentation")
+
+    monkeypatch.setattr(reachfuzz.cli, "select_instrumentation", no_plan)
+    code, out, _ = run(capsys, "report", str(out_dir), str(f))
+    assert code == 0
+    found = json.loads((out_dir / "stats.json").read_text())["errors"]
+    ids = sorted(list_error_ids(parse_or_raise(f.read_text())))
+    assert found
+    assert out == "".join(
+        f"{k},{'error_reachable' if str(k) in found else 'UNKNOWN'}\n" for k in ids
+    )
+
+
+@pytest.mark.parametrize(
+    "witness, got",
+    [
+        ([], "ok/None"),
+        ([9], "invalid_input/None"),
+        ([1] * (DEFAULT_MAX_STEPS + 1), "step_limit/None"),
+    ],
+)
+def test_report_rejects_witness_that_does_not_replay(tmp_path, capsys, witness, got):
+    f = tmp_path / "p.rrp"
+    f.write_text("inputs 1..5; var a = 0; step(in){ if (in == 2) { error 7; } }")
+    out_dir = tmp_path / "camp"
+    out_dir.mkdir()
+    stats = {"errors": {"7": {"witness": witness}}}
+    (out_dir / "stats.json").write_text(json.dumps(stats))
+    code, out, err = run(capsys, "report", str(out_dir), str(f))
+    assert code == 2
+    assert out == ""
+    assert f"witness for error 7 does not replay (got {got})" in err
+
+
+def test_many_path_program_fuzzes_and_plans(tmp_path, capsys):
+    f = tmp_path / "p.rrp"
+    f.write_text(MANY_IFS)
+    assert count_paths(build_cfg(parse_or_raise(MANY_IFS))) == 2**25
+    code, out, _ = run(capsys, "fuzz", str(f), "--max-execs", "2000",
+                       "--out", str(tmp_path / "camp"))
+    assert code == 0
+    assert "errors in" in out
+    code, out, _ = run(capsys, "analyze", str(f), "--plan")
+    assert code == 0
+    assert "certificate: segment counts" in out
 
 
 def test_report_missing_campaign_exit_two(tmp_path, capsys):

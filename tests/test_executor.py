@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from reachfuzz.cfg import assign_block_tags, build_cfg
 from reachfuzz.executor import (
+    DEFAULT_MAX_STEPS,
     MAP_SIZE,
     GlobalMaps,
     classify_counts,
@@ -20,7 +21,7 @@ from reachfuzz.executor import (
 )
 from reachfuzz.frontend import parse_or_raise, reference_step
 from reachfuzz.gen import generate_program
-from reachfuzz.instrument import project_trace, select_instrumentation
+from reachfuzz.instrument import InstrumentationPlan, project_trace, select_instrumentation
 
 EXAMPLE = (
     "inputs 1..5; var a = 1; "
@@ -288,21 +289,51 @@ def test_trace_matches_projection():
 def test_compiled_and_interpreter_agree():
     for seed in range(6):
         p, g, plan = build(generate_program(seed=seed))
-        target = compile_target(p, g, plan)
-        rnd = random.Random(seed + 100)
-        for _ in range(60):
-            seq = tuple(rnd.randint(p.alphabet_lo, p.alphabet_hi + 1)
-                        for _ in range(rnd.randint(0, 12)))
-            a = target.run(seq)
-            b = interpret_run(p, g, plan, seq)
-            assert a.status == b.status
-            assert a.error_id == b.error_id
-            assert a.steps == b.steps
-            assert a.final_values == b.final_values
-            assert a.outputs == b.outputs
-            assert a.state_keys == b.state_keys
-            assert bytes(a.counts) == bytes(b.counts)
-            assert sorted(a.touched) == sorted(b.touched)
+        # probing every block also ends steps on tags other than the entry's
+        every_block = InstrumentationPlan(frozenset(b.id for b in g.blocks), "all blocks")
+        for plan in (plan, every_block):
+            target = compile_target(p, g, plan)
+            rnd = random.Random(seed + 100)
+            for _ in range(60):
+                seq = tuple(rnd.randint(p.alphabet_lo - 1, p.alphabet_hi + 1)
+                            for _ in range(rnd.randint(0, 12)))
+                max_steps = rnd.choice((0, 1, 3, DEFAULT_MAX_STEPS))
+                a = target.run(seq, max_steps)
+                b = interpret_run(p, g, plan, seq, max_steps)
+                assert a.status == b.status
+                assert a.error_id == b.error_id
+                assert a.steps == b.steps
+                assert a.final_values == b.final_values
+                assert a.outputs == b.outputs
+                assert a.state_keys == b.state_keys
+                assert bytes(a.counts) == bytes(b.counts)
+                assert a.touched == b.touched
+
+
+def test_compiled_wraps_like_interpreter():
+    p, g, plan = build(
+        "inputs 1..3; var a = 1; var b = 0; "
+        "step(in){ a = a * 65536 + in; b = -a; "
+        "if (a * 2 > b) { emit 1; } else { a = a - 1; } }"
+    )
+    target = compile_target(p, g, plan)
+    seq = [1, 2, 3] * 8
+    a = target.run(seq)
+    b = interpret_run(p, g, plan, seq)
+    assert a.status == b.status == "ok"
+    assert a.final_values == b.final_values
+    assert a.state_keys == b.state_keys
+    assert a.outputs == b.outputs
+    assert bytes(a.counts) == bytes(b.counts)
+    # a gains 16 bits a step, so it leaves the signed 64-bit range by step 4
+    values = ref = (1, 0)
+    step = compile_step(p)
+    for sym in seq:
+        code, _err, values = step(values, sym)
+        status, _err, ref, _outs = reference_step(p, ref, sym)
+        assert (code, status) == (0, "ok")
+        assert values == ref
+    assert values == a.final_values
 
 
 def test_compiled_agrees_with_reference_step_composition():

@@ -6,7 +6,7 @@ import random
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from reachfuzz.executor import MAP_SIZE, GlobalMaps
+from reachfuzz.executor import MAP_SIZE, STATUS_BY_CODE, GlobalMaps
 from reachfuzz.frontend import parse_or_raise
 from reachfuzz.fuzzer import (
     BUCKET_LUT,
@@ -63,6 +63,60 @@ def test_mutate_deterministic_for_seed():
     a = mutate((1, 2, 3, 1), pool, random.Random(99), max_len=32)
     b = mutate((1, 2, 3, 1), pool, random.Random(99), max_len=32)
     assert a == b
+
+
+def havoc_by_int_draws(seq, pool_values, rng, max_len, corpus):
+    """Reference havoc stack: every draw truncated with int()."""
+    out = list(seq)
+    npool = len(pool_values)
+    rand = rng.random
+    for _ in range(2 << int(rand() * 6.0)):
+        op = int(rand() * 5.0)
+        n = len(out)
+        if op == 1 and n > 1:
+            del out[int(rand() * n)]
+        elif op == 2 and n < max_len:
+            out.insert(int(rand() * (n + 1)), pool_values[int(rand() * npool)])
+        elif op == 3 and n > 1:
+            start = int(rand() * n)
+            end = start + 1 + int(rand() * min(n - start, 16))
+            at = int(rand() * (n + 1))
+            out[at:at] = out[start:end]
+            del out[max_len:]
+        elif op == 4 and corpus is not None and len(corpus) > 1:
+            other = corpus[int(rand() * len(corpus))].input
+            cut_a = 1 + int(rand() * n)
+            cut_b = int(rand() * (len(other) + 1))
+            del out[cut_a:]
+            out.extend(other[cut_b:])
+            del out[max_len:]
+        else:
+            out[int(rand() * n)] = pool_values[int(rand() * npool)]
+    return tuple(out)
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=40),
+    st.integers(min_value=0, max_value=10**9),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([2, 8, 4096]),
+)
+@settings(max_examples=300)
+def test_mutate_matches_int_draw_reference(seq, seed, ncorpus, max_len):
+    pool = (1, 1, 2, 3, 9)
+    corpus = [
+        QueueEntry(input=tuple(range(1, 2 + 3 * i)), id=i, parent=None,
+                   new_branch=False, new_state=False, exec_index=0)
+        for i in range(ncorpus)
+    ]
+    seq = tuple(seq[:max_len])
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        got = mutate(seq, pool, got_rng, max_len=max_len, corpus=corpus or None)
+        want = havoc_by_int_draws(seq, pool, want_rng, max_len, corpus or None)
+        assert got == want
+        seq = got
+    assert got_rng.getstate() == want_rng.getstate()
 
 
 def test_schedule_energy_table():
@@ -164,6 +218,39 @@ def test_trim_preserves_signature_on_ok_inputs():
         out = trim(c, seq)
         assert len(out) <= len(seq)
         assert signature(out) == signature(seq)
+
+
+def test_campaign_merge_matches_global_maps():
+    """The campaign's merge (unsaturated hit counts, known-key shortcut)
+    leaves the same maps and novelty flags as GlobalMaps.merge_and_report
+    on the reference ExecResult, with and without the key cap reached."""
+    from reachfuzz.fuzzer import _execute_and_merge
+
+    loop = parse_or_raise("inputs 1..3; var a = 0; step(in){ if (in == 3) { a = 0; } a = a + in; }")
+    for p in (loop, generate_program(seed=3)):
+        for cap in (3, 10**6):
+            c = init_campaign(p, FuzzConfig(state_key_cap=cap), seed=0)
+            ref = GlobalMaps(
+                virgin_branch=bytearray(c.maps.virgin_branch),
+                state_bits=bytearray(c.maps.state_bits),
+                state_keys=set(c.maps.state_keys),
+                state_key_cap=cap,
+            )
+            scratch = ([0] * MAP_SIZE, [], [], [])
+            rnd = random.Random(cap)
+            for _ in range(120):
+                seq = tuple(rnd.randint(p.alphabet_lo, p.alphabet_hi)
+                            for _ in range(rnd.choice((1, 5, 40, 700))))
+                code, err, new_branch, new_state = _execute_and_merge(c, scratch, seq)
+                r = c.target.run(seq)
+                report = ref.merge_and_report(r)
+                assert STATUS_BY_CODE[code] == r.status
+                assert (err if code == 1 else None) == r.error_id
+                assert (new_branch, new_state) == (report.new_branch_bits, report.new_state_bits)
+                assert c.maps.virgin_branch == ref.virgin_branch
+                assert c.maps.state_bits == ref.state_bits
+                assert c.maps.state_keys == ref.state_keys
+            assert not any(scratch[0])
 
 
 def test_fuzz_counts_trim_executions():

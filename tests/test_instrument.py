@@ -6,11 +6,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from reachfuzz.cfg import build_cfg, count_paths, iter_paths
+from reachfuzz.cfg import Branch, build_cfg, count_paths, iter_paths
 from reachfuzz.frontend import parse_or_raise
 from reachfuzz.gen import generate_program
 from reachfuzz.instrument import (
-    AdequacyInconclusive,
     AdequacyViolation,
     InvalidProjection,
     is_adequate,
@@ -105,16 +104,66 @@ def test_reconstruct_ambiguous_projection():
         reconstruct_path(g, s, (g.entry,))
 
 
-def test_is_adequate_inconclusive_under_tiny_cap():
-    g = build_cfg(parse_or_raise(DIAMOND))
-    with pytest.raises(AdequacyInconclusive):
-        is_adequate(g, frozenset({g.entry}), path_cap=1)
-
-
 def test_certificate_reports_path_count():
     g = build_cfg(parse_or_raise(DIAMOND))
     plan = select_instrumentation(g)
-    assert str(count_paths(g)) in plan.adequacy_certificate
+    assert plan.adequacy_certificate == "segment counts from 2 sources over 4 blocks"
+
+
+def adequate_over(paths, s):
+    """Reference adequacy check: no two of the listed entry-to-exit paths
+    have the same projection onto s."""
+    seen = set()
+    for path in paths:
+        proj = project_trace(path, s)
+        if proj in seen:
+            return False
+        seen.add(proj)
+    return True
+
+
+def greedy_by_enumeration(g):
+    """The greedy of select_instrumentation run over the reference check."""
+    paths = list(iter_paths(g))
+    indeg = {b.id: 0 for b in g.blocks}
+    for b in g.blocks:
+        for succ in b.successors():
+            indeg[succ] += 1
+    s = {g.entry}
+    s.update(i for i, d in indeg.items() if d >= 2)
+    s.update(b.term.then_id for b in g.blocks if isinstance(b.term, Branch))
+    if not adequate_over(paths, s):
+        s = {b.id for b in g.blocks}
+    for node in sorted(s, reverse=True):
+        if node == g.entry:
+            continue
+        s.discard(node)
+        if not adequate_over(paths, s):
+            s.add(node)
+    return frozenset(s)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_is_adequate_matches_enumeration_on_random_subsets(data):
+    seed = data.draw(st.integers(min_value=0, max_value=400), label="gen seed")
+    depth = data.draw(st.integers(min_value=1, max_value=3), label="depth")
+    g = build_cfg(generate_program(vars=2, depth=depth, errors=3, seed=seed))
+    if count_paths(g) > 2000:
+        return
+    ids = [b.id for b in g.blocks]
+    picked = set(data.draw(st.lists(st.sampled_from(ids), unique=True), label="picked"))
+    # the complement of a short pick is a near-full set, mostly adequate
+    s = picked if data.draw(st.booleans(), label="keep picked") else set(ids) - picked
+    paths = list(iter_paths(g))
+    for subset in (s | {g.entry}, s - {g.entry}):
+        assert is_adequate(g, subset) is adequate_over(paths, subset), sorted(subset)
+
+
+def test_select_matches_enumeration_greedy():
+    for seed in range(50):
+        g = build_cfg(generate_program(seed=seed))
+        assert select_instrumentation(g).instrumented == greedy_by_enumeration(g), seed
 
 
 def brute_force_minimum(g):

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
+import reachfuzz.oracle
 from reachfuzz.cfg import assign_block_tags, build_cfg
 from reachfuzz.executor import run
 from reachfuzz.frontend import parse_or_raise
@@ -121,3 +124,14 @@ def test_explored_states_counts_distinct_valuations():
     res = bfs_reachability(p)
     assert res.complete is True
     assert res.explored_states == 3
+
+
+def test_undeclared_error_id_raises(monkeypatch):
+    p = parse_or_raise(TOGGLE)
+
+    def fake_compile_step(program):
+        return lambda values, symbol: (1, 99, values)
+
+    monkeypatch.setattr(reachfuzz.oracle, "compile_step", fake_compile_step)
+    with pytest.raises(RuntimeError, match=r"undeclared error ids \[99\]"):
+        bfs_reachability(p)
