@@ -194,20 +194,44 @@ def _replay_status(program: Program, step, seq) -> "tuple[str, int | None]":
     return STATUS_BY_CODE[3 if len(seq) > DEFAULT_MAX_STEPS else 0], None
 
 
+def _witnesses(stats) -> "dict[int, tuple[int, ...]]":
+    """Error id -> witness from the parsed stats.json of a campaign;
+    ValueError names the first part that does not have the form that
+    write_outputs gives it."""
+    if not isinstance(stats, dict):
+        raise ValueError("the top-level value is not an object")
+    records = stats.get("errors", {})
+    if not isinstance(records, dict):
+        raise ValueError('"errors" is not an object')
+    found = {}
+    for key, record in records.items():
+        try:
+            k = int(key)
+        except ValueError:
+            raise ValueError(f"error id {key!r} is not an integer") from None
+        witness = record.get("witness") if isinstance(record, dict) else None
+        if not isinstance(witness, list) or any(type(sym) is not int for sym in witness):
+            raise ValueError(f"the witness of error {key} is not a list of integers")
+        found[k] = tuple(witness)
+    return found
+
+
 def cmd_report(args) -> int:
     program, code = _load_program(args.file)
     if program is None:
         return code
     stats_path = Path(args.out) / "stats.json"
     try:
-        stats = json.loads(stats_path.read_text())
+        data = stats_path.read_bytes()
     except OSError as exc:
         print(f"cannot read {stats_path}: {exc}", file=sys.stderr)
         return 2
+    try:
+        found = _witnesses(json.loads(data))
+    except (ValueError, RecursionError) as exc:
+        print(f"malformed {stats_path}: {exc}", file=sys.stderr)
+        return 2
     step = compile_step(program)
-    found = {}
-    for key, record in stats.get("errors", {}).items():
-        found[int(key)] = tuple(record["witness"])
     for k, witness in sorted(found.items()):
         status, error_id = _replay_status(program, step, witness)
         if status != "error" or error_id != k:

@@ -360,6 +360,16 @@ def _probe(lines: "list[str]", pad: str, prev: "int | None", tag: int) -> None:
     lines.append(f"{pad}    t_append({idx})")
 
 
+# Non-ok exit templates, one source line each, formatted with the error
+# id k. The campaign target and compile_step leave their step loop with a
+# status code; the oracle's expander records the error and moves on to
+# the next symbol.
+_BREAK_ERROR = ("st = 1", "err = {k}", "break")
+_BREAK_REJECT = ("st = 2", "break")
+_SKIP_ERROR = ("if {k} not in found:", "    found[{k}] = (values, _s)", "continue")
+_SKIP_REJECT = ("continue",)
+
+
 def _emit_body(
     g: Cfg,
     instrumented: frozenset,
@@ -369,6 +379,9 @@ def _emit_body(
     stop: "int | None",
     depth: int,
     prev: "int | None" = None,
+    on_error: "tuple[str, ...]" = _BREAK_ERROR,
+    on_reject: "tuple[str, ...]" = _BREAK_REJECT,
+    outputs: bool = True,
 ) -> "int | None":
     """Emit structured Python for the block subgraph from bid up to stop.
 
@@ -377,9 +390,12 @@ def _emit_body(
 
     prev is the previous tag known at compile time on entry, or None when
     only the runtime register `prev` holds it; the value known on exit is
-    returned (_DEAD when every path breaks out). A known tag is stored to
-    the register only where paths with different tags join, or by the
-    caller at the end of the step.
+    returned (_DEAD when every path leaves the step). A known tag is
+    stored to the register only where paths with different tags join, or
+    by the caller at the end of the step.
+
+    on_error and on_reject are the line templates of the two non-ok
+    exits; outputs=False drops `emit` statements.
     """
     pad = "    " * depth
     tags = g.tags
@@ -391,24 +407,20 @@ def _emit_body(
         for st in blk.stmts:
             if isinstance(st, Assign):
                 lines.extend(gen.assign(gen.rename[st.name], st.expr, pad))
-            else:
+            elif outputs:
                 lines.append(f"{pad}out_append({st.value})")
         term = blk.term
         if isinstance(term, Jump):
             bid = term.target
             continue
         if isinstance(term, Exit):
-            if term.kind is ExitKind.ERROR:
-                lines.append(f"{pad}st = 1")
-                lines.append(f"{pad}err = {term.error_id}")
-                lines.append(f"{pad}break")
-                return _DEAD
-            if term.kind is ExitKind.INVALID_INPUT:
-                lines.append(f"{pad}st = 2")
-                lines.append(f"{pad}break")
-                return _DEAD
-            # ok-exits fall through to the step epilogue
-            return prev
+            if term.kind is ExitKind.OK:
+                # ok-exits fall through to the step epilogue
+                return prev
+            error = term.kind is ExitKind.ERROR
+            for line in on_error if error else on_reject:
+                lines.append(pad + line.format(k=term.error_id))
+            return _DEAD
         join = term.join_id
         then_id, else_id = term.then_id, term.else_id
         if then_id == else_id:
@@ -424,7 +436,11 @@ def _emit_body(
         arms = []
         for arm_id in arm_ids:
             sub: "list[str]" = []
-            arms.append((sub, _emit_body(g, instrumented, gen, sub, arm_id, join, depth + 1, prev)))
+            end = _emit_body(
+                g, instrumented, gen, sub, arm_id, join, depth + 1, prev,
+                on_error, on_reject, outputs,
+            )
+            arms.append((sub, end))
         ends = [k for _, k in arms]
         if len(arms) == 1:
             ends.append(prev)  # the path that skips the single arm
@@ -450,6 +466,17 @@ def _emit_body(
     return prev
 
 
+def _names(program: Program) -> "tuple[_ExprGen, str, str]":
+    """Expression generator over the generated names (_g<i> for the i-th
+    global, _s for the symbol), the unpack target of a valuation and the
+    source of the valuation tuple."""
+    rename = {name: f"_g{i}" for i, (name, _) in enumerate(program.globals)}
+    rename[program.param] = "_s"
+    gvars = [rename[name] for name in program.global_names()]
+    unpack = "".join(v + ", " for v in gvars)
+    return _ExprGen(rename), unpack, f"({unpack})"
+
+
 def _generate_source(program: Program, g: Cfg, instrumented: frozenset) -> str:
     """Source of the campaign target.
 
@@ -458,18 +485,14 @@ def _generate_source(program: Program, g: Cfg, instrumented: frozenset) -> str:
     step-limit checks, and the loop's else clause sets the status the
     prefix ended on.
     """
-    rename = {name: f"_g{i}" for i, (name, _) in enumerate(program.globals)}
-    rename[program.param] = "_s"
-    gen = _ExprGen(rename)
-    gvars = [rename[name] for name in program.global_names()]
-    tuple_src = "(" + "".join(v + ", " for v in gvars) + ")"
+    gen, _, tuple_src = _names(program)
     lo, hi = program.alphabet_lo, program.alphabet_hi
 
     lines = [
         "def _target(seq, max_steps, m, t, sk, kc, out, _fnv=state_key):",
     ]
     for (name, init) in program.globals:
-        lines.append(f"    {rename[name]} = {init}")
+        lines.append(f"    {gen.rename[name]} = {init}")
     lines.append(f"    prev = {g.tags[g.entry]}")
     lines.append("    err = -1")
     lines.append("    t_append = t.append")
@@ -569,37 +592,70 @@ def compile_target(program: Program, g: Cfg, plan: InstrumentationPlan) -> Compi
 
 
 def compile_step(program: Program):
-    """Uninstrumented single-step function for exhaustive exploration.
+    """Uninstrumented single-step function.
 
     Returns step(values_tuple, symbol) -> (status, error_id, new_values)
     built from the same code generator as the campaign target, so both
     engines share one set of semantics.
     """
     g = _bare_cfg(program)
-    rename = {name: f"_g{i}" for i, (name, _) in enumerate(program.globals)}
-    rename[program.param] = "_s"
-    gen = _ExprGen(rename)
-    gvars = [rename[name] for name in program.global_names()]
-    tuple_src = "(" + "".join(v + ", " for v in gvars) + ")"
-    unpack = "".join(v + ", " for v in gvars)
+    gen, unpack, tuple_src = _names(program)
 
     lines = ["def _step(values, _s):"]
-    if gvars:
+    if unpack:
         lines.append(f"    {unpack}= values")
-    lines.append("    out = []")
-    lines.append("    out_append = out.append")
     lines.append("    st = 0")
     lines.append("    err = -1")
     lines.append(f"    if _s < {program.alphabet_lo} or _s > {program.alphabet_hi}:")
     lines.append("        st = 2")
     lines.append("    else:")
     lines.append("        for _ in (0,):")
-    _emit_body(g, frozenset(), gen, lines, g.entry, None, 3)
+    _emit_body(g, frozenset(), gen, lines, g.entry, None, 3, outputs=False)
     lines.append(f"    return st, err, {tuple_src}")
     source = "\n".join(lines) + "\n"
     namespace: dict = {}
     exec(compile(source, "<compiled-step>", "exec"), namespace)
     return namespace["_step"]
+
+
+def compile_expand(program: Program):
+    """Uninstrumented expansion of one valuation by many symbols, for
+    exhaustive exploration.
+
+    Returns expand(values, symbols, seen, append, found, cap) -> bool.
+    Each symbol, which must lie in the alphabet, steps from values:
+    - an error k not yet in found sets found[k] = (values, symbol);
+    - a rejected step is a dead end;
+    - a completed step's valuation v that is not in seen is stored as
+      seen[v] = values and passed to append, while len(seen) < cap.
+    The result is True iff cap refused a new valuation.
+    """
+    g = _bare_cfg(program)
+    gen, unpack, tuple_src = _names(program)
+
+    lines = [
+        "def _expand(values, symbols, seen, append, found, cap):",
+        "    full = False",
+        "    for _s in symbols:",
+    ]
+    if unpack:
+        lines.append(f"        {unpack}= values")
+    _emit_body(
+        g, frozenset(), gen, lines, g.entry, None, 2,
+        on_error=_SKIP_ERROR, on_reject=_SKIP_REJECT, outputs=False,
+    )
+    lines.append(f"        v = {tuple_src}")
+    lines.append("        if v not in seen:")
+    lines.append("            if len(seen) < cap:")
+    lines.append("                seen[v] = values")
+    lines.append("                append(v)")
+    lines.append("            else:")
+    lines.append("                full = True")
+    lines.append("    return full")
+    source = "\n".join(lines) + "\n"
+    namespace: dict = {}
+    exec(compile(source, "<compiled-expand>", "exec"), namespace)
+    return namespace["_expand"]
 
 
 def _bare_cfg(program: Program) -> Cfg:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field, replace
-from math import floor
+from math import floor, inf
 from operator import itemgetter
 from pathlib import Path
 
@@ -96,6 +96,7 @@ class Campaign:
     all_error_ids: frozenset = frozenset()
     pool_values: "tuple[int, ...]" = ()
     start_time: float = 0.0
+    exec_budget: "int | None" = None  # fuzz_loop's max_execs, which trim keeps to
 
 
 @dataclass(frozen=True)
@@ -339,7 +340,13 @@ def trim(c: Campaign, seq) -> "tuple[int, ...]":
     Trim executions never merge into the campaign maps: they re-cover a
     subset of an already-merged run, and polluting the virgin maps with
     unretained intermediates would break retention accounting.
+
+    No run starts once c.execs reaches c.exec_budget; the shortest input
+    accepted so far is returned, since each one matched the signature.
     """
+    budget = c.exec_budget if c.exec_budget is not None else inf
+    if c.execs >= budget:
+        return tuple(seq)
     scratch = ([0] * MAP_SIZE, [], [], [])
     max_steps = c.config.max_steps
     base = _solo_signature(c.target, seq, max_steps, scratch)
@@ -353,12 +360,16 @@ def trim(c: Campaign, seq) -> "tuple[int, ...]":
             if not trial:
                 pos += chunk
                 continue
+            if c.execs >= budget:
+                return tuple(out)
             c.execs += 1
             if _solo_signature(c.target, trial, max_steps, scratch) == base:
                 out = trial
             else:
                 pos += chunk
         chunk //= 2
+    if c.execs >= budget:
+        return tuple(out)
     c.execs += 1
     if _solo_signature(c.target, out, max_steps, scratch) != base:
         return tuple(seq)
@@ -376,6 +387,7 @@ def fuzz_loop(
     if max_execs is None and max_seconds is None:
         raise ValueError("need max_execs or max_seconds")
 
+    c.exec_budget = max_execs
     config = c.config
     use_state = config.use_state_fitness
     total_ids = len(c.all_error_ids)

@@ -1,18 +1,20 @@
 """Exhaustive breadth-first reachability over the reactive state space.
 
 Ground truth for small programs: states are exact global valuations
-(collision-free, unlike the fuzzer's hashed maps), transitions come from
-the same compiled step semantics the fuzzer executes, and BFS order
-makes every recorded witness a shortest one. Caps turn exhaustion into
-an honest complete=False instead of an error.
+(collision-free, unlike the fuzzer's hashed maps), and transitions come
+from the same code generator as the campaign target. One generated call
+expands a state by the whole alphabet, and each state keeps one reference,
+to the state it was first reached from. Witnesses are rebuilt afterwards
+by re-expanding those parents, and BFS order makes every one a shortest
+one. Caps turn exhaustion into an honest complete=False instead of an
+error.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .executor import compile_step
+from .executor import compile_expand
 from .frontend import Program, list_error_ids
 
 DEFAULT_STATE_CAP = 10**6
@@ -34,60 +36,59 @@ def bfs_reachability(
     state_cap: int = DEFAULT_STATE_CAP,
     depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> OracleResult:
-    """Explore every reachable valuation, expanding by every alphabet symbol.
+    """Explore every reachable valuation, level by level, expanding each
+    state by every alphabet symbol in one generated call.
 
-    Witnesses are rebuilt by parent-edge backtracking, so memory stays at
-    one (parent, symbol) reference per state. Rejected steps are dead
-    ends. complete is True iff the frontier was exhausted under both caps
-    with no expansion skipped.
+    parents maps each state to the state it was first reached from (None
+    for the initial one), the only memory kept per state. Each error id
+    keeps the first (state, symbol) that reached it in BFS order, and its
+    witness is rebuilt by walking parents back to the initial state.
+    Rejected steps are dead ends. complete is True iff the frontier was
+    exhausted under both caps with no expansion skipped.
     """
-    step = compile_step(program)
+    expand = compile_expand(program)
     alphabet = tuple(program.alphabet())
     error_ids = list_error_ids(program)
     initial = program.initial_values()
 
-    # parent map doubles as the visited set: state -> (parent, symbol)
-    parents: dict = {initial: None}
-    depth: dict = {initial: 0}
-    frontier = deque([initial])
-    reachable: dict = {}
+    parents: dict = {initial: None}  # doubles as the visited set
+    found: dict = {}  # error id -> (state, symbol)
+    frontier = [initial]
     complete = True
-
-    def backtrack(state, last_symbol) -> "tuple[int, ...]":
-        symbols = [last_symbol]
-        while True:
-            edge = parents[state]
-            if edge is None:
-                break
-            state, sym = edge
-            symbols.append(sym)
-        return tuple(reversed(symbols))
-
+    level = 0
     while frontier:
-        state = frontier.popleft()
-        d = depth[state]
-        if d >= depth_cap:
+        if level >= depth_cap:
             complete = False
-            continue
-        for sym in alphabet:
-            status, err, nxt = step(state, sym)
-            if status == 1:
-                if err not in reachable:
-                    reachable[err] = backtrack(state, sym)
-                continue
-            if status != 0:
-                continue
-            if nxt in parents:
-                continue
-            if len(parents) >= state_cap:
+            break
+        level_states: list = []
+        append = level_states.append
+        for state in frontier:
+            if expand(state, alphabet, parents, append, found, state_cap):
                 complete = False
-                continue
-            parents[nxt] = (state, sym)
-            depth[nxt] = d + 1
-            frontier.append(nxt)
+        frontier = level_states
+        level += 1
 
-    if not set(reachable) <= error_ids:
-        raise RuntimeError(f"undeclared error ids {sorted(set(reachable) - error_ids)}")
+    if not set(found) <= error_ids:
+        raise RuntimeError(f"undeclared error ids {sorted(set(found) - error_ids)}")
+
+    def hop(parent, child) -> int:
+        """The first symbol, in alphabet order, that steps parent to child:
+        the one BFS took when child was first seen."""
+        for sym in alphabet:
+            reached: list = []
+            expand(parent, (sym,), {}, reached.append, {}, 1)
+            if reached == [child]:
+                return sym
+        raise AssertionError("parent does not step to child")
+
+    reachable: dict = {}
+    for k, (state, sym) in found.items():
+        symbols = [sym]
+        parent = parents[state]
+        while parent is not None:
+            symbols.append(hop(parent, state))
+            state, parent = parent, parents[parent]
+        reachable[k] = tuple(reversed(symbols))
     return OracleResult(
         reachable=reachable,
         explored_states=len(parents),

@@ -190,6 +190,44 @@ def test_report_rejects_witness_that_does_not_replay(tmp_path, capsys, witness, 
     assert f"witness for error 7 does not replay (got {got})" in err
 
 
+@pytest.mark.parametrize(
+    "stats, reason",
+    [
+        ('{"errors": ', "Expecting value"),
+        ("[" * 100_000, "recursion"),
+        (b'{"errors": {"7": {"witness": [2]}}}\xff', "can't decode"),
+        ("[1, 2]", "the top-level value is not an object"),
+        ('{"errors": [1]}', '"errors" is not an object'),
+        ('{"errors": {"7": {"exec_index": 3}}}', "the witness of error 7 is not a list of integers"),
+        ('{"errors": {"7": [2]}}', "the witness of error 7 is not a list of integers"),
+        ('{"errors": {"7": {"witness": [2, "x"]}}}', "the witness of error 7 is not a list"),
+        ('{"errors": {"7": {"witness": [2.0]}}}', "the witness of error 7 is not a list"),
+        ('{"errors": {"7": {"witness": 2}}}', "the witness of error 7 is not a list"),
+        ('{"errors": {"seven": {"witness": [2]}}}', "error id 'seven' is not an integer"),
+    ],
+    ids=[
+        "truncated", "too-deep", "not-utf8", "array", "errors-array", "no-witness",
+        "record-array", "string-symbol", "float-symbol", "witness-int", "named-id",
+    ],
+)
+def test_report_rejects_malformed_stats(tmp_path, capsys, stats, reason):
+    f = tmp_path / "p.rrp"
+    f.write_text("inputs 1..5; var a = 0; step(in){ if (in == 2) { error 7; } }")
+    out_dir = tmp_path / "camp"
+    out_dir.mkdir()
+    path = out_dir / "stats.json"
+    if isinstance(stats, bytes):
+        path.write_bytes(stats)
+    else:
+        path.write_text(stats)
+    code, out, err = run(capsys, "report", str(out_dir), str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"malformed {path}: ")
+    assert reason in err
+    assert err.count("\n") == 1
+
+
 def test_many_path_program_fuzzes_and_plans(tmp_path, capsys):
     f = tmp_path / "p.rrp"
     f.write_text(MANY_IFS)

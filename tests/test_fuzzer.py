@@ -261,6 +261,52 @@ def test_fuzz_counts_trim_executions():
     assert c.execs > before
 
 
+def test_trim_stops_on_every_budget():
+    p = parse_or_raise(ERROR_ON_TWO)
+    c = init_campaign(p, seed=0)
+    seq = (1, 3, 4, 5, 3, 2, 4, 4, 1)
+    start = c.execs
+    full = trim(c, seq)
+    needed = c.execs - start
+    for extra in range(needed + 1):
+        c.execs = start
+        c.exec_budget = start + extra
+        out = trim(c, seq)
+        assert c.execs == start + extra
+        assert out == seq if extra == 0 else len(full) <= len(out) <= len(seq)
+        if extra == needed:
+            assert out == full
+        r = c.target.run(out)
+        assert (r.status, r.error_id) == ("error", 7)
+
+
+def test_trim_keeps_to_the_exec_budget(monkeypatch):
+    """A trim that ignores the budget, as fuzz_loop's last one once did,
+    ends this family campaign 100 execs late; the budgeted one ends on
+    the budget with the same discoveries."""
+    import reachfuzz.fuzzer
+
+    p = generate_program(seed=2, vars=4, domain=8, alphabet=10)
+    budget = 2000
+    exact = fuzz_loop(init_campaign(p, seed=42), max_execs=budget)
+
+    def unbudgeted_trim(c, seq, trim=reachfuzz.fuzzer.trim):
+        saved, c.exec_budget = c.exec_budget, None
+        try:
+            return trim(c, seq)
+        finally:
+            c.exec_budget = saved
+
+    monkeypatch.setattr(reachfuzz.fuzzer, "trim", unbudgeted_trim)
+    late = fuzz_loop(init_campaign(p, seed=42), max_execs=budget)
+    assert late.execs > budget
+    assert exact.execs == budget
+    assert exact.errors
+    assert {k: (r.witness, r.exec_index) for k, r in exact.errors.items()} == {
+        k: (r.witness, r.exec_index) for k, r in late.errors.items()}
+    assert [t.input for t in exact.corpus[:-1]] == [t.input for t in late.corpus[:-1]]
+
+
 def test_error_witnesses_replay():
     p = generate_program(seed=7)
     c = init_campaign(p, seed=11)
