@@ -134,7 +134,7 @@ def cmd_fuzz(args) -> int:
     if max_execs is None and args.max_seconds is None:
         max_execs = 10**5
     try:
-        campaign = init_campaign(program, config, seed=args.seed)
+        campaign = init_campaign(program, config, seed=args.seed, max_execs=max_execs)
         result = fuzz_loop(campaign, max_execs=max_execs, max_seconds=args.max_seconds)
     except CapacityError as exc:
         print(f"cannot fuzz {args.file}: {exc}", file=sys.stderr)

@@ -29,6 +29,7 @@ from .frontend import (
     eval_expr,
 )
 from .instrument import InstrumentationPlan
+from .interval import TOP, Interval, _collect_input_constants, _truth, eval_abs
 
 MAP_SIZE = 65536  # branch-pair byte map entries; also state-map bit count
 STATE_BYTES = MAP_SIZE // 8
@@ -92,17 +93,13 @@ def state_key(values) -> int:
     return h
 
 
-def state_index(key: int) -> int:
-    return key % MAP_SIZE
-
-
 @dataclass(frozen=True)
 class ExecResult:
     """Everything one execution produced.
 
     counts is the local 65,536-byte branch map with raw saturating hit
     counts; touched lists exactly the nonzero indices (first-touch order).
-    state_keys/state_indices are per completed step, in step order.
+    state_keys has one entry per completed step, in step order.
     """
 
     status: str
@@ -111,7 +108,6 @@ class ExecResult:
     counts: bytearray
     touched: "tuple[int, ...]"
     state_keys: "tuple[int, ...]"
-    state_indices: "tuple[int, ...]"
     outputs: "tuple[int, ...]"
     final_values: "tuple[int, ...]"
     trace: "tuple[int, ...] | None" = None
@@ -246,15 +242,13 @@ def interpret_run(
             status = STATUS_INVALID
             break
 
-    key_tuple = tuple(keys)
     return ExecResult(
         status=status,
         error_id=error_id,
         steps=steps,
         counts=counts,
         touched=tuple(touched),
-        state_keys=key_tuple,
-        state_indices=tuple(k & 0xFFFF for k in key_tuple),
+        state_keys=tuple(keys),
         outputs=tuple(outputs),
         final_values=tuple(env[n] for n in names),
         trace=tuple(trace) if record_trace else None,
@@ -281,6 +275,11 @@ class _ExprGen:
 
     def __init__(self, rename: dict):
         self.rename = rename
+
+    def decide(self, cond) -> "bool | None":
+        """The truth value of a branch condition when it is known at
+        compile time; the campaign target knows none."""
+        return None
 
     def value(self, e) -> str:
         """Source congruent to the value mod 2^64 (may exceed i64 range)."""
@@ -344,6 +343,65 @@ class _ExprGen:
 _DEAD = -1  # known-prev value of a path that has left the step loop
 
 
+class _FoldGen(_ExprGen):
+    """An _ExprGen that folds what an interval environment decides.
+
+    env maps every global and the input parameter to an Interval; a
+    condition whose interval has a definite truth value is decided, and a
+    decided operand of && or || is dropped. reads_input records whether
+    any emitted expression still names the input parameter.
+    """
+
+    def __init__(self, rename: dict, env: dict, param: str):
+        super().__init__(rename)
+        self.env = env
+        self.param = param
+        self.reads_input = False
+        self.known: dict = {}  # id of a condition -> its decision
+
+    def decide(self, cond) -> "bool | None":
+        key = id(cond)
+        if key not in self.known:
+            self.known[key] = self._decide(cond)
+        return self.known[key]
+
+    def _decide(self, e) -> "bool | None":
+        """_truth(eval_abs(e, env)), without evaluating the second operand
+        of a logical operator that the first one decides."""
+        if isinstance(e, Unary) and e.op == "!":
+            known = self.decide(e.operand)
+            return None if known is None else not known
+        if isinstance(e, Binary) and e.op in ("&&", "||"):
+            absorbing = e.op == "||"  # the value that decides the operator
+            lhs = self.decide(e.lhs)
+            if lhs is absorbing:
+                return absorbing
+            rhs = self.decide(e.rhs)
+            if rhs is absorbing or (lhs is not None and rhs is not None):
+                return rhs
+            return None
+        return _truth(eval_abs(e, self.env))
+
+    def value(self, e) -> str:
+        if isinstance(e, Name) and e.ident == self.param:
+            self.reads_input = True
+        return super().value(e)
+
+    def truth(self, e) -> str:
+        known = self.decide(e)
+        if known is not None:
+            return repr(known)
+        if isinstance(e, Binary) and e.op in ("&&", "||"):
+            # an operand equal to the operator's identity (True for &&,
+            # False for ||) does not change the result
+            identity = e.op == "&&"
+            if self.decide(e.lhs) is identity:
+                return self.truth(e.rhs)
+            if self.decide(e.rhs) is identity:
+                return self.truth(e.lhs)
+        return super().truth(e)
+
+
 def _probe(lines: "list[str]", pad: str, prev: "int | None", tag: int) -> None:
     """Hit-count one instrumented block. prev is the previous tag when it
     is known at compile time, which folds the map index to a constant."""
@@ -396,6 +454,10 @@ def _emit_body(
 
     on_error and on_reject are the line templates of the two non-ok
     exits; outputs=False drops `emit` statements.
+
+    A branch whose condition gen decides is replaced by its taken arm, an
+    arm that emits no line is left out, and an else arm that is a single
+    if statement becomes an elif, so else-if chains add no indentation.
     """
     pad = "    " * depth
     tags = g.tags
@@ -427,11 +489,15 @@ def _emit_body(
             # both arms empty: condition is pure, nothing to evaluate
             bid = then_id
             continue
-        if then_id == join:
-            head = f"if not {gen.truth(term.cond)}:"
+        known = gen.decide(term.cond)
+        if known is not None:
+            # the taken arm leads on to the join like any other block
+            bid = then_id if known else else_id
+            continue
+        negate = then_id == join
+        if negate:
             arm_ids = [else_id]
         else:
-            head = f"if {gen.truth(term.cond)}:"
             arm_ids = [then_id] if else_id == join else [then_id, else_id]
         arms = []
         for arm_id in arm_ids:
@@ -455,15 +521,34 @@ def _emit_body(
             prev = None
         else:
             prev = live.pop() if live else _DEAD
-        lines.append(pad + head)
-        lines.extend(arms[0][0] or [pad + "    pass"])
-        if len(arms) == 2:
-            lines.append(pad + "else:")
-            lines.extend(arms[1][0] or [pad + "    pass"])
+        # conditions have no effects, so an if with no arm left goes too
+        if len(arms) == 2 and not arms[0][0]:
+            negate, arms = True, arms[1:]
+        if arms[0][0]:
+            lines.append(f"{pad}if {'not ' if negate else ''}{gen.truth(term.cond)}:")
+            lines.extend(arms[0][0])
+        if len(arms) == 2 and arms[1][0]:
+            orelse = arms[1][0]
+            if _single_if(orelse, pad + "    "):
+                lines.append(pad + "el" + orelse[0].lstrip())
+                lines.extend(line[4:] for line in orelse[1:])
+            else:
+                lines.append(pad + "else:")
+                lines.extend(orelse)
         if join is None:
             return prev
         bid = join
     return prev
+
+
+def _single_if(lines: "list[str]", pad: str) -> bool:
+    """Whether lines, indented by pad, are exactly one if statement."""
+    if not lines or not lines[0].startswith(pad + "if "):
+        return False
+    n = len(pad)
+    return all(
+        line[n] == " " or line.startswith(("elif ", "else:"), n) for line in lines[1:]
+    )
 
 
 def _names(program: Program) -> "tuple[_ExprGen, str, str]":
@@ -563,15 +648,13 @@ class CompiledTarget:
         counts = bytearray(MAP_SIZE)
         for i in touched:
             counts[i] = min(hits[i], 255)
-        key_tuple = tuple(e[0] for e in entries)
         return ExecResult(
             status=STATUS_BY_CODE[code],
             error_id=err if code == 1 else None,
             steps=steps,
             counts=counts,
             touched=tuple(touched),
-            state_keys=key_tuple,
-            state_indices=tuple(k & 0xFFFF for k in key_tuple),
+            state_keys=tuple(e[0] for e in entries),
             outputs=tuple(outputs),
             final_values=final,
         )
@@ -618,44 +701,99 @@ def compile_step(program: Program):
     return namespace["_step"]
 
 
-def compile_expand(program: Program):
-    """Uninstrumented expansion of one valuation by many symbols, for
-    exhaustive exploration.
+def _input_classes(program: Program) -> "list[range]":
+    """The alphabet cut into runs of symbols that no comparison with a
+    constant tells apart: a run boundary lies at c and at c + 1 for every
+    constant c that the program compares its input against."""
+    lo, hi = program.alphabet_lo, program.alphabet_hi
+    cuts = {lo, hi + 1}
+    for c in _collect_input_constants(program):
+        cuts.update(b for b in (c, c + 1) if lo < b <= hi)
+    bounds = sorted(cuts)
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
-    Returns expand(values, symbols, seen, append, found, cap) -> bool.
-    Each symbol, which must lie in the alphabet, steps from values:
-    - an error k not yet in found sets found[k] = (values, symbol);
+
+def compile_expand(program: Program):
+    """Uninstrumented expansion of a whole BFS level, for exhaustive
+    exploration.
+
+    Returns (expand, classes), where classes holds, per generated body,
+    the symbols it runs for. expand(frontier, seen, append, found, cap,
+    classes) -> bool steps each state of frontier, in order, by every
+    alphabet symbol, in alphabet order:
+    - an error k not yet in found sets found[k] = (state, symbol);
     - a rejected step is a dead end;
     - a completed step's valuation v that is not in seen is stored as
-      seen[v] = values and passed to append, while len(seen) < cap.
+      seen[v] = state and passed to append, while len(seen) < cap.
     The result is True iff cap refused a new valuation.
+
+    The alphabet is cut into input classes (_input_classes), and each
+    class gets its own body, folded with the input at the class interval
+    and every global unknown: a decided branch becomes its taken arm and
+    a decided operand of && or || is dropped. A class whose every path
+    rejects gets no body. Bodies that no longer name the input and have
+    the same text are merged and run once, for their smallest symbol; a
+    body that still names the input runs for each symbol of its class.
+    The bodies run in the order of their smallest symbol, so appends,
+    refusals and found entries come in the order of stepping each symbol
+    in turn. Passing classes with one body's tuple set to (symbol,) and
+    the others empty steps by that symbol alone.
     """
     g = _bare_cfg(program)
     gen, unpack, tuple_src = _names(program)
+    pad = "            "
+    epilogue = [
+        f"{pad}v = {tuple_src}",
+        f"{pad}if v not in seen:",
+        f"{pad}    if len(seen) < cap:",
+        f"{pad}        seen[v] = values",
+        f"{pad}        append(v)",
+        f"{pad}    else:",
+        f"{pad}        full = True",
+    ]
+    unknown = {name: TOP for name in program.global_names()}
+    classes: "list[tuple[int, ...]]" = []
+    bodies: "list[list[str]]" = []
+    merged: set = set()
+    for run in _input_classes(program):
+        env = dict(unknown, **{program.param: Interval(run.start, run.stop - 1)})
+        fold = _FoldGen(gen.rename, env, program.param)
+        body = [f"{pad}{unpack}= values"] if unpack else []
+        end = _emit_body(
+            g, frozenset(), fold, body, g.entry, None, 3,
+            on_error=_SKIP_ERROR, on_reject=_SKIP_REJECT, outputs=False,
+        )
+        if end == _DEAD and not any("found[" in line for line in body):
+            continue  # every path rejects
+        if end != _DEAD:
+            body.extend(epilogue)
+        if fold.reads_input:
+            classes.append(tuple(run))
+        else:
+            text = "\n".join(body)
+            if text in merged:
+                continue
+            merged.add(text)
+            classes.append((run.start,))
+        bodies.append(body)
 
     lines = [
-        "def _expand(values, symbols, seen, append, found, cap):",
+        "def _expand(frontier, seen, append, found, cap, classes):",
         "    full = False",
-        "    for _s in symbols:",
     ]
-    if unpack:
-        lines.append(f"        {unpack}= values")
-    _emit_body(
-        g, frozenset(), gen, lines, g.entry, None, 2,
-        on_error=_SKIP_ERROR, on_reject=_SKIP_REJECT, outputs=False,
-    )
-    lines.append(f"        v = {tuple_src}")
-    lines.append("        if v not in seen:")
-    lines.append("            if len(seen) < cap:")
-    lines.append("                seen[v] = values")
-    lines.append("                append(v)")
-    lines.append("            else:")
-    lines.append("                full = True")
+    if bodies:
+        lines.append("    " + "".join(f"c{j}, " for j in range(len(bodies))) + "= classes")
+    lines.append("    for values in frontier:")
+    for j, body in enumerate(bodies):
+        lines.append(f"        for _s in c{j}:")
+        lines.extend(body)
+    if not bodies:
+        lines.append("        pass")
     lines.append("    return full")
     source = "\n".join(lines) + "\n"
     namespace: dict = {}
     exec(compile(source, "<compiled-expand>", "exec"), namespace)
-    return namespace["_expand"]
+    return namespace["_expand"], tuple(classes)
 
 
 def _bare_cfg(program: Program) -> Cfg:

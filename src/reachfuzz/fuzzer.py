@@ -256,12 +256,18 @@ def _record_error(c: Campaign, error_id: int, witness) -> None:
         )
 
 
-def init_campaign(program: Program, config: "FuzzConfig | None" = None, seed: int = 0) -> Campaign:
+def init_campaign(
+    program: Program,
+    config: "FuzzConfig | None" = None,
+    seed: int = 0,
+    max_execs: "int | None" = None,
+) -> Campaign:
     """Build the pipeline state and execute the seed corpus.
 
     Seeds: one single-symbol input per alphabet value (truncated to 256
     for huge alphabets) plus random pool-drawn sequences. Seeds enter the
     queue unconditionally; their novelty flags still come from the merge.
+    Seeding stops once max_execs seeds have run.
     """
     config = config or FuzzConfig()
     g = assign_block_tags(build_cfg(program), seed)
@@ -294,6 +300,8 @@ def init_campaign(program: Program, config: "FuzzConfig | None" = None, seed: in
             )
         )
 
+    if max_execs is not None:
+        seeds = seeds[:max(max_execs, 0)]
     scratch = ([0] * MAP_SIZE, [], [], [])
     for s in seeds:
         code, err, new_branch, new_state = _execute_and_merge(c, scratch, s)

@@ -2,12 +2,13 @@
 
 Ground truth for small programs: states are exact global valuations
 (collision-free, unlike the fuzzer's hashed maps), and transitions come
-from the same code generator as the campaign target. One generated call
-expands a state by the whole alphabet, and each state keeps one reference,
-to the state it was first reached from. Witnesses are rebuilt afterwards
-by re-expanding those parents, and BFS order makes every one a shortest
-one. Caps turn exhaustion into an honest complete=False instead of an
-error.
+from the same code generator as the campaign target. The expander cuts
+the alphabet into input classes and folds the step body once per class,
+and one generated call expands a whole BFS level. Each state keeps one
+reference, to the state it was first reached from. Witnesses are rebuilt
+afterwards by re-expanding those parents, and BFS order makes every one
+a shortest one. Caps turn exhaustion into an honest complete=False
+instead of an error.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def bfs_reachability(
     depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> OracleResult:
     """Explore every reachable valuation, level by level, expanding each
-    state by every alphabet symbol in one generated call.
+    level by every alphabet symbol in one generated call.
 
     parents maps each state to the state it was first reached from (None
     for the initial one), the only memory kept per state. Each error id
@@ -46,8 +47,7 @@ def bfs_reachability(
     Rejected steps are dead ends. complete is True iff the frontier was
     exhausted under both caps with no expansion skipped.
     """
-    expand = compile_expand(program)
-    alphabet = tuple(program.alphabet())
+    expand, classes = compile_expand(program)
     error_ids = list_error_ids(program)
     initial = program.initial_values()
 
@@ -61,24 +61,27 @@ def bfs_reachability(
             complete = False
             break
         level_states: list = []
-        append = level_states.append
-        for state in frontier:
-            if expand(state, alphabet, parents, append, found, state_cap):
-                complete = False
+        if expand(frontier, parents, level_states.append, found, state_cap, classes):
+            complete = False
         frontier = level_states
         level += 1
 
     if not set(found) <= error_ids:
         raise RuntimeError(f"undeclared error ids {sorted(set(found) - error_ids)}")
 
+    none = ((),) * len(classes)
+
     def hop(parent, child) -> int:
-        """The first symbol, in alphabet order, that steps parent to child:
-        the one BFS took when child was first seen."""
-        for sym in alphabet:
-            reached: list = []
-            expand(parent, (sym,), {}, reached.append, {}, 1)
-            if reached == [child]:
-                return sym
+        """The smallest symbol that steps parent to child: the one BFS
+        took when child was first seen. The symbols are tried in the
+        expander's order, which ascends: a merged body's symbol is the
+        smallest of the classes it stands for."""
+        for j, symbols in enumerate(classes):
+            for sym in symbols:
+                reached: list = []
+                expand((parent,), {}, reached.append, {}, 1, none[:j] + ((sym,),) + none[j + 1:])
+                if reached == [child]:
+                    return sym
         raise AssertionError("parent does not step to child")
 
     reachable: dict = {}

@@ -16,7 +16,6 @@ from reachfuzz.executor import (
     compile_target,
     interpret_run,
     run,
-    state_index,
     state_key,
 )
 from reachfuzz.frontend import parse_or_raise, reference_step
@@ -114,8 +113,19 @@ def test_state_key_frozen_vectors():
 
 
 def test_state_index_is_low_16_bits():
-    for vals in [(), (1, 0), (5, -7, 3)]:
-        assert state_index(state_key(vals)) == state_key(vals) & 0xFFFF
+    """The target's state-map entries are (key, byte, mask) of the bit at
+    the key's low 16 bits."""
+    p = parse_or_raise("inputs -3..3; var a = 0; var b = 5; step(in){ a = a * 7 + in; b = b - a; }")
+    g = assign_block_tags(build_cfg(p), 0)
+    t = compile_target(p, g, select_instrumentation(g))
+    entries: list = []
+    t.fn([3, -2, 1, 0, -3], DEFAULT_MAX_STEPS, [0] * MAP_SIZE, [], entries, {}, [])
+    values = p.initial_values()
+    assert len(entries) == 5
+    for sym, (key, byte, mask) in zip([3, -2, 1, 0, -3], entries):
+        values = tuple(reference_step(p, values, sym)[2])
+        assert key == state_key(values)
+        assert (byte, mask) == ((key & 0xFFFF) >> 3, 1 << (key & 7))
 
 
 def test_classify_counts_table():

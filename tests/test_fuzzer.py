@@ -177,6 +177,22 @@ def test_budget_zero_reports_seeding_only():
     assert set(c.errors) == {7}
 
 
+def test_seeding_stops_at_the_budget():
+    p = parse_or_raise(ERROR_ON_TWO)
+    c = init_campaign(p, seed=3, max_execs=3)
+    assert c.execs == 3 and [t.input for t in c.queue] == [(1,), (2,), (3,)]
+    fuzz_loop(c, max_execs=3)
+    assert c.execs == 3 and set(c.errors) == {7}
+    # a budget that covers the seeds leaves the campaign as it was
+    full = fuzz_loop(init_campaign(p, seed=3), max_execs=500)
+    capped = fuzz_loop(init_campaign(p, seed=3, max_execs=500), max_execs=500)
+    assert (capped.corpus, capped.errors.keys(), capped.execs) == (
+        full.corpus,
+        full.errors.keys(),
+        full.execs,
+    )
+
+
 def test_seeds_are_parentless_and_loop_cases_have_parents():
     c = init_campaign(generate_program(seed=2), seed=1)
     seed_count = len(c.queue)
