@@ -18,7 +18,6 @@ from .cfg import (
     build_cfg,
     count_paths,
     dump_cfg,
-    enumerate_branch_pairs,
     iter_paths,
 )
 from .executor import (
@@ -31,7 +30,6 @@ from .executor import (
     classify_counts,
     compile_step,
     compile_target,
-    interpret_run,
     run,
     state_key,
 )
@@ -62,19 +60,15 @@ from .fuzzer import (
 )
 from .gen import generate_program, generate_source
 from .instrument import (
-    AdequacyViolation,
     InstrumentationPlan,
-    InvalidProjection,
     is_adequate,
     project_trace,
-    reconstruct_path,
     select_instrumentation,
 )
 from .interval import Interval, IntervalSummary, analyze, input_value_pool
 from .oracle import OracleResult, bfs_reachability
 
 __all__ = [
-    "AdequacyViolation",
     "BUCKET_LUT",
     "Branch",
     "Campaign",
@@ -91,7 +85,6 @@ __all__ = [
     "InstrumentationPlan",
     "Interval",
     "IntervalSummary",
-    "InvalidProjection",
     "Jump",
     "MAP_SIZE",
     "NoveltyReport",
@@ -108,14 +101,12 @@ __all__ = [
     "compile_target",
     "count_paths",
     "dump_cfg",
-    "enumerate_branch_pairs",
     "finalize",
     "fuzz_loop",
     "generate_program",
     "generate_source",
     "init_campaign",
     "input_value_pool",
-    "interpret_run",
     "is_adequate",
     "iter_paths",
     "list_error_ids",
@@ -124,7 +115,6 @@ __all__ = [
     "parse_program",
     "pretty_print",
     "project_trace",
-    "reconstruct_path",
     "reference_step",
     "run",
     "schedule_energy",

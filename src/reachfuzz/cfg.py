@@ -30,7 +30,8 @@ TAG_SPACE = 1 << 16
 
 
 class CapacityError(Exception):
-    """Raised when a graph exceeds the 16-bit tag space."""
+    """A valid program beyond a fixed capacity: the 16-bit tag space, or
+    the nesting depth that generated Python code can have."""
 
 
 class ExitKind(enum.Enum):
@@ -91,9 +92,6 @@ class Cfg:
         return {
             (b.id, succ) for b in self.blocks for succ in b.successors()
         }
-
-    def exit_ids(self) -> "list[int]":
-        return [b.id for b in self.blocks if isinstance(b.term, Exit)]
 
 
 def build_cfg(program: Program) -> Cfg:
@@ -158,11 +156,6 @@ def build_cfg(program: Program) -> Cfg:
         else:
             end.term = Exit(ExitKind.OK)
     return Cfg(blocks=blocks, entry=entry.id)
-
-
-def enumerate_branch_pairs(g: Cfg) -> "set[tuple[int, int]]":
-    """The branch-pair universe of a graph: exactly its edge set."""
-    return g.edges()
 
 
 def assign_block_tags(g: Cfg, seed: int) -> Cfg:

@@ -133,12 +133,8 @@ def cmd_fuzz(args) -> int:
     max_execs = args.max_execs
     if max_execs is None and args.max_seconds is None:
         max_execs = 10**5
-    try:
-        campaign = init_campaign(program, config, seed=args.seed, max_execs=max_execs)
-        result = fuzz_loop(campaign, max_execs=max_execs, max_seconds=args.max_seconds)
-    except CapacityError as exc:
-        print(f"cannot fuzz {args.file}: {exc}", file=sys.stderr)
-        return 2
+    campaign = init_campaign(program, config, seed=args.seed, max_execs=max_execs)
+    result = fuzz_loop(campaign, max_execs=max_execs, max_seconds=args.max_seconds)
     try:
         write_outputs(result, args.out)
     except OSError as exc:
@@ -311,7 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (CapacityError, RecursionError) as exc:
+        # a valid program beyond the tag space, or nested deeper than the
+        # analyses or the generated code can go
+        print(f"cannot {args.command} {args.file}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -131,11 +131,6 @@ class Program:
     globals: tuple  # ordered (name, initial value) pairs
     param: str
     body: tuple  # Stmt sequence
-    error_sites: frozenset
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.alphabet_hi - self.alphabet_lo + 1
 
     def alphabet(self) -> range:
         return range(self.alphabet_lo, self.alphabet_hi + 1)
@@ -500,9 +495,13 @@ def parse_program(text: str) -> "Program | list[Diagnostic]":
     parser = _Parser(tokens)
     try:
         lo, hi, decls, param_tok, body = parser.parse_program()
+        diags = _validate(lo, hi, decls, param_tok, body)
     except _ParseError as e:
         return [Diagnostic("error", e.token.line, e.token.col, e.message)]
-    diags = _validate(lo, hi, decls, param_tok, body)
+    except RecursionError:
+        # the parser and the validator recurse once per nesting level
+        tok = parser.peek()
+        return [Diagnostic("error", tok.line, tok.col, "program nests too deeply")]
     if diags:
         return diags
     program = Program(
@@ -511,9 +510,6 @@ def parse_program(text: str) -> "Program | list[Diagnostic]":
         globals=tuple((name, init) for name, init, _ in decls),
         param=param_tok.value,
         body=body,
-        error_sites=frozenset(
-            st.error_id for st in walk_stmts(body) if isinstance(st, ErrorStmt)
-        ),
     )
     return program
 
@@ -650,11 +646,11 @@ def reference_step(program: Program, values: "tuple[int, ...]", symbol: int):
     """One reactive step by direct AST interpretation.
 
     Returns (status, error_id, new_values, outputs) with status one of
-    "ok", "error", "invalid". The independent baseline the CFG-based
-    executors are checked against.
+    "ok", "error", "invalid_input". The independent baseline the
+    generated code is checked against.
     """
     if not (program.alphabet_lo <= symbol <= program.alphabet_hi):
-        return "invalid", None, values, []
+        return "invalid_input", None, values, []
     env = dict(zip(program.global_names(), values))
     env[program.param] = symbol
     outputs: "list[int]" = []
@@ -668,7 +664,7 @@ def reference_step(program: Program, values: "tuple[int, ...]", symbol: int):
             elif isinstance(st, ErrorStmt):
                 return "error", st.error_id
             elif isinstance(st, Reject):
-                return "invalid", None
+                return "invalid_input", None
             else:
                 taken = st.then if eval_expr(st.cond, env) else st.orelse
                 status, err = run_block(taken)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import floor, inf
 from operator import itemgetter
 from pathlib import Path
@@ -22,9 +22,8 @@ from random import Random
 
 from .cfg import Cfg, assign_block_tags, build_cfg
 from .executor import (
-    BUCKET_LUT,
+    _BUCKETS,
     DEFAULT_MAX_STEPS,
-    DEFAULT_STATE_KEY_CAP,
     MAP_SIZE,
     CompiledTarget,
     GlobalMaps,
@@ -35,32 +34,27 @@ from .instrument import InstrumentationPlan, select_instrumentation
 from .interval import IntervalSummary, analyze
 
 MAX_SEED_SYMBOLS = 256
+MAX_LEN = 4096  # longest input a mutation makes
+RANDOM_SEED_COUNT = 10  # random pool-drawn seed inputs, after the single symbols
+RANDOM_SEED_LEN = 20
+ENERGY_BASE = 128  # mutations per queue visit
+LONG_INPUT_LEN = 512  # longer inputs get half the energy
 
-_BUCKETS = list(BUCKET_LUT)  # indexed by a hit count below 256; 128 and up map to 0x80
-_KEY = itemgetter(0)
+_INDEX = itemgetter(1, 2)  # the (byte, mask) of a state entry: its map index
 
 
 @dataclass(frozen=True)
 class FuzzConfig:
-    max_len: int = 4096
-    max_steps: int = DEFAULT_MAX_STEPS
-    random_seed_count: int = 10
-    random_seed_len: int = 20
-    energy_base: int = 128
-    energy_min: int = 16
-    energy_max: int = 1024
-    long_input_len: int = 512
-    state_key_cap: int = DEFAULT_STATE_KEY_CAP
-    const_weight: int = 4
-    # ablation toggles: baseline turns both off
-    use_value_pool: bool = True
-    use_state_fitness: bool = True
-    trim_enabled: bool = True
+    """baseline turns off the interval value pool (symbols are drawn
+    uniformly) and state-novelty retention, leaving a plain branch-coverage
+    fuzzer for ablation."""
+
+    baseline: bool = False
 
 
-def baseline_config(config: "FuzzConfig | None" = None) -> FuzzConfig:
+def baseline_config() -> FuzzConfig:
     """The ablated configuration: uniform symbol pool, branch-only fitness."""
-    return replace(config or FuzzConfig(), use_value_pool=False, use_state_fitness=False)
+    return FuzzConfig(baseline=True)
 
 
 @dataclass(frozen=True)
@@ -114,42 +108,18 @@ class CampaignResult:
         return len(self.errors)
 
 
-# --- mutation primitives ------------------------------------------------
+# --- mutation -------------------------------------------------------------
 
 
-def replace_at(seq, pos: int, value: int) -> list:
-    out = list(seq)
-    out[pos] = value
-    return out
-
-
-def delete_at(seq, pos: int) -> list:
-    out = list(seq)
-    del out[pos]
-    return out
-
-
-def insert_at(seq, pos: int, value: int) -> list:
-    out = list(seq)
-    out.insert(pos, value)
-    return out
-
-
-def duplicate_block(seq, start: int, end: int, at: int) -> list:
-    out = list(seq)
-    return out[:at] + out[start:end] + out[at:]
-
-
-def splice(a, b, cut_a: int, cut_b: int) -> list:
-    return list(a)[:cut_a] + list(b)[cut_b:]
-
-
-def mutate(seq, pool_values, rng: Random, max_len: int = 4096, corpus=None) -> "tuple[int, ...]":
+def mutate(seq, pool_values, rng: Random, max_len: int = MAX_LEN, corpus=None) -> "tuple[int, ...]":
     """Havoc stack: 2^k primitive mutations, k uniform in 1..6.
 
-    Symbols come from the weighted pool; length stays in [1, max_len].
-    Deletes on length-1 inputs degrade to replaces, oversized inserts and
-    duplications degrade likewise, so every stacking step mutates.
+    Each step deletes a symbol, inserts a pool symbol, duplicates a block
+    of up to 16 symbols, splices in the tail of another corpus input, or
+    replaces a symbol by a pool symbol. Symbols come from the weighted
+    pool; length stays in [1, max_len]. Deletes on length-1 inputs degrade
+    to replaces, oversized inserts and duplications degrade likewise, so
+    every stacking step mutates.
 
     Draws are truncated with floor, which equals int on the non-negative
     floats of rng.random() and is the cheaper call.
@@ -185,21 +155,20 @@ def mutate(seq, pool_values, rng: Random, max_len: int = 4096, corpus=None) -> "
 
 def schedule_energy(t: TestCase, config: FuzzConfig) -> int:
     """Mutation budget per queue visit: 128 base, x2 for state-novel
-    discoveries (when state fitness is on), halved for long inputs,
-    clamped to [16, 1024]."""
-    e = config.energy_base
-    if config.use_state_fitness and t.new_state:
+    discoveries (outside the baseline), halved for long inputs."""
+    e = ENERGY_BASE
+    if t.new_state and not config.baseline:
         e *= 2
-    if len(t.input) > config.long_input_len:
+    if len(t.input) > LONG_INPUT_LEN:
         e //= 2
-    return max(config.energy_min, min(config.energy_max, e))
+    return e
 
 
 # --- campaign ------------------------------------------------------------
 
 
 def _flat_pool(summary: IntervalSummary, program: Program, config: FuzzConfig) -> "tuple[int, ...]":
-    if not config.use_value_pool:
+    if config.baseline:
         return tuple(program.alphabet())
     flat: "list[int]" = []
     for sym, weight in summary.value_pool:
@@ -208,43 +177,17 @@ def _flat_pool(summary: IntervalSummary, program: Program, config: FuzzConfig) -
 
 
 def _execute_and_merge(c: Campaign, scratch, candidate) -> "tuple[int, int, bool, bool]":
-    """Run one candidate on the compiled target and fold its coverage into
+    """Run one candidate on the compiled target and merge its coverage into
     the campaign maps. Returns (status_code, error_id, new_branch, new_state)."""
-    counts, touched, keys, outs = scratch
+    hits, touched, entries, outs = scratch
     touched.clear()
-    keys.clear()
+    entries.clear()
     outs.clear()
     code, err, _steps, _final = c.target.fn(
-        candidate, c.config.max_steps, counts, touched, keys, c.target.key_cache, outs
+        candidate, DEFAULT_MAX_STEPS, hits, touched, entries, c.target.key_cache, outs
     )
     c.execs += 1
-    maps = c.maps
-    virgin = maps.virgin_branch
-    lut = _BUCKETS
-    new_branch = False
-    for idx in touched:
-        n = counts[idx]
-        counts[idx] = 0
-        mask = lut[n] if n < 256 else 0x80
-        cur = virgin[idx]
-        if mask & ~cur:
-            virgin[idx] = cur | mask
-            new_branch = True
-    new_state = False
-    skeys = maps.state_keys
-    # every key in state_keys has its state bit set, so a run whose keys
-    # are all there can change nothing
-    if not skeys.issuperset(map(_KEY, keys)):
-        bits = maps.state_bits
-        track = len(skeys) < maps.state_key_cap
-        for key, bi, mask in keys:
-            b = bits[bi]
-            if not b & mask:
-                bits[bi] = b | mask
-                new_state = True
-            if track:
-                skeys.add(key)
-    return code, err, new_branch, new_state
+    return (code, err, *c.maps.merge(hits, touched, entries))
 
 
 def _record_error(c: Campaign, error_id: int, witness) -> None:
@@ -272,7 +215,7 @@ def init_campaign(
     config = config or FuzzConfig()
     g = assign_block_tags(build_cfg(program), seed)
     plan = select_instrumentation(g)
-    summary = analyze(program, config.const_weight)
+    summary = analyze(program)
     target = compile_target(program, g, plan)
     c = Campaign(
         program=program,
@@ -282,7 +225,7 @@ def init_campaign(
         target=target,
         config=config,
         rng=Random(seed),
-        maps=GlobalMaps(state_key_cap=config.state_key_cap),
+        maps=GlobalMaps(),
         all_error_ids=frozenset(list_error_ids(program)),
         pool_values=_flat_pool(summary, program, config),
         start_time=time.monotonic(),
@@ -292,12 +235,9 @@ def init_campaign(
         (sym,) for sym in list(program.alphabet())[:MAX_SEED_SYMBOLS]
     ]
     npool = len(c.pool_values)
-    for _ in range(config.random_seed_count):
+    for _ in range(RANDOM_SEED_COUNT):
         seeds.append(
-            tuple(
-                c.pool_values[int(c.rng.random() * npool)]
-                for _ in range(config.random_seed_len)
-            )
+            tuple(c.pool_values[int(c.rng.random() * npool)] for _ in range(RANDOM_SEED_LEN))
         )
 
     if max_execs is not None:
@@ -320,24 +260,25 @@ def init_campaign(
     return c
 
 
-def _solo_signature(target: CompiledTarget, seq, max_steps: int, scratch):
+def _solo_signature(target: CompiledTarget, seq, scratch):
     """Behavior fingerprint of one isolated run: status code, error id,
-    classified branch buckets, and the touched state-map indices."""
-    counts, touched, keys, outs = scratch
+    classified branch buckets, and the touched state-map indices (as the
+    (byte, mask) pairs of the state entries)."""
+    hits, touched, entries, outs = scratch
     touched.clear()
-    keys.clear()
+    entries.clear()
     outs.clear()
     code, err, _steps, _final = target.fn(
-        seq, max_steps, counts, touched, keys, target.key_cache, outs
+        seq, DEFAULT_MAX_STEPS, hits, touched, entries, target.key_cache, outs
     )
     lut = _BUCKETS
     buckets = []
     for i in touched:
-        n = counts[i]
+        n = hits[i]
         buckets.append((i, lut[n] if n < 256 else 0x80))
-        counts[i] = 0
+        hits[i] = 0
     buckets.sort()
-    return (code, err, tuple(buckets), frozenset(e[0] & 0xFFFF for e in keys))
+    return (code, err, tuple(buckets), frozenset(map(_INDEX, entries)))
 
 
 def trim(c: Campaign, seq) -> "tuple[int, ...]":
@@ -356,8 +297,7 @@ def trim(c: Campaign, seq) -> "tuple[int, ...]":
     if c.execs >= budget:
         return tuple(seq)
     scratch = ([0] * MAP_SIZE, [], [], [])
-    max_steps = c.config.max_steps
-    base = _solo_signature(c.target, seq, max_steps, scratch)
+    base = _solo_signature(c.target, seq, scratch)
     c.execs += 1
     out = list(seq)
     chunk = max(1, len(out) // 16)
@@ -371,7 +311,7 @@ def trim(c: Campaign, seq) -> "tuple[int, ...]":
             if c.execs >= budget:
                 return tuple(out)
             c.execs += 1
-            if _solo_signature(c.target, trial, max_steps, scratch) == base:
+            if _solo_signature(c.target, trial, scratch) == base:
                 out = trial
             else:
                 pos += chunk
@@ -379,7 +319,7 @@ def trim(c: Campaign, seq) -> "tuple[int, ...]":
     if c.execs >= budget:
         return tuple(out)
     c.execs += 1
-    if _solo_signature(c.target, out, max_steps, scratch) != base:
+    if _solo_signature(c.target, out, scratch) != base:
         return tuple(seq)
     return tuple(out)
 
@@ -391,13 +331,13 @@ def fuzz_loop(
 ) -> CampaignResult:
     """Round-robin the queue until the budget runs out or every syntactic
     error id has a witness. Retention: any novel branch bucket bit, or any
-    novel state bit when state fitness is enabled."""
+    novel state bit outside the baseline. A retained input is trimmed."""
     if max_execs is None and max_seconds is None:
         raise ValueError("need max_execs or max_seconds")
 
     c.exec_budget = max_execs
     config = c.config
-    use_state = config.use_state_fitness
+    use_state = not config.baseline
     total_ids = len(c.all_error_ids)
     scratch = ([0] * MAP_SIZE, [], [], [])
 
@@ -414,21 +354,14 @@ def fuzz_loop(
             for _ in range(schedule_energy(entry, config)):
                 if done():
                     return finalize(c)
-                candidate = mutate(
-                    entry.input,
-                    c.pool_values,
-                    c.rng,
-                    max_len=config.max_len,
-                    corpus=c.queue,
-                )
+                candidate = mutate(entry.input, c.pool_values, c.rng, corpus=c.queue)
                 code, err, new_branch, new_state = _execute_and_merge(c, scratch, candidate)
                 if code == 1:
                     _record_error(c, err, candidate)
                 if new_branch or (use_state and new_state):
-                    kept = trim(c, candidate) if config.trim_enabled else candidate
                     c.queue.append(
                         TestCase(
-                            input=kept,
+                            input=trim(c, candidate),
                             id=len(c.queue),
                             parent=entry.id,
                             new_branch=new_branch,

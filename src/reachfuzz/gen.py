@@ -289,7 +289,6 @@ def generate_source(
         globals=tuple(inits),
         param=param,
         body=tuple(body),
-        error_sites=frozenset(range(1, errors + 1)),
     )
     return pretty_print(program)
 

@@ -25,14 +25,6 @@ from dataclasses import dataclass
 from .cfg import Branch, Cfg, topological_order
 
 
-class InvalidProjection(Exception):
-    """A projection that no entry-to-exit path produces."""
-
-
-class AdequacyViolation(Exception):
-    """A projection matched by two or more paths (test hook)."""
-
-
 @dataclass(frozen=True)
 class InstrumentationPlan:
     instrumented: frozenset
@@ -107,37 +99,3 @@ def select_instrumentation(g: Cfg) -> InstrumentationPlan:
         adequacy_certificate=f"segment counts from {len(s)} sources over {len(g.blocks)} blocks",
     )
 
-
-def reconstruct_path(g: Cfg, s, projection) -> "tuple[int, ...]":
-    """Invert project_trace under an adequate s.
-
-    Pruned DFS over the DAG for paths whose projection equals the given
-    sequence. Exactly one match is returned; zero raises InvalidProjection
-    and two or more raises AdequacyViolation.
-    """
-    projection = tuple(projection)
-    matches = []
-    # (node, path, consumed) where consumed counts projection symbols used
-    stack = [(g.entry, (g.entry,), 0)]
-    while stack:
-        node, path, used = stack.pop()
-        if node in s:
-            if used >= len(projection) or projection[used] != node:
-                continue
-            used += 1
-        succs = g.blocks[node].successors()
-        if not succs:
-            if used == len(projection):
-                matches.append(path)
-                if len(matches) > 1:
-                    break
-            continue
-        for succ in succs:
-            stack.append((succ, path + (succ,), used))
-    if not matches:
-        raise InvalidProjection(f"no path projects to {projection!r}")
-    if len(matches) > 1:
-        raise AdequacyViolation(
-            f"projection {projection!r} is ambiguous; instrumentation set inadequate"
-        )
-    return matches[0]

@@ -36,6 +36,7 @@ from .frontend import (
 
 INF = float("inf")
 WIDEN_AFTER = 3  # unstable joins tolerated before widening kicks in
+CONST_WEIGHT = 4  # pool weight of a compared constant and its neighbours
 
 _CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 _SWAP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
@@ -55,9 +56,6 @@ class Interval:
     @property
     def is_point(self) -> bool:
         return self.lo == self.hi
-
-    def contains(self, value: int) -> bool:
-        return self.lo <= value <= self.hi
 
     def covers(self, other: "Interval") -> bool:
         return other.is_empty or (self.lo <= other.lo and other.hi <= self.hi)
@@ -411,27 +409,22 @@ def _collect_input_constants(program: Program) -> frozenset:
     return frozenset(consts)
 
 
-def input_value_pool(summary_or_constants, alphabet: range, const_weight: int = 4) -> tuple:
+def input_value_pool(constants, alphabet: range) -> tuple:
     """Weighted mutation pool over the whole alphabet.
 
     Every symbol keeps base weight 1 so nothing starves; compared constants
-    and their off-by-one neighbours get const_weight. Out-of-alphabet
+    and their off-by-one neighbours get CONST_WEIGHT. Out-of-alphabet
     neighbours are dropped.
     """
-    constants = (
-        summary_or_constants.input_constants
-        if isinstance(summary_or_constants, IntervalSummary)
-        else summary_or_constants
-    )
     weights = {sym: 1 for sym in alphabet}
     for c in constants:
         for v in (c - 1, c, c + 1):
             if v in weights:
-                weights[v] = const_weight
+                weights[v] = CONST_WEIGHT
     return tuple(sorted(weights.items()))
 
 
-def analyze(program: Program, const_weight: int = 4) -> IntervalSummary:
+def analyze(program: Program) -> IntervalSummary:
     """Inter-step fixpoint over global intervals plus the mutation pool.
 
     Iterates the abstract step from the initial valuation, joining each
@@ -472,7 +465,7 @@ def analyze(program: Program, const_weight: int = 4) -> IntervalSummary:
         x = narrowed
 
     constants = _collect_input_constants(program)
-    pool = input_value_pool(constants, program.alphabet(), const_weight)
+    pool = input_value_pool(constants, program.alphabet())
     return IntervalSummary(
         global_bounds={n: x[n] for n in names},
         input_constants=constants,

@@ -28,9 +28,6 @@ class OracleResult:
     explored_states: int
     complete: bool
 
-    def witness(self, error_id: int) -> "tuple[int, ...] | None":
-        return self.reachable.get(error_id)
-
 
 def bfs_reachability(
     program: Program,

@@ -15,7 +15,6 @@ from reachfuzz.cfg import (
     build_cfg,
     count_paths,
     dump_cfg,
-    enumerate_branch_pairs,
     iter_paths,
     topological_order,
 )
@@ -103,14 +102,14 @@ def test_paths_follow_edges():
 
 def test_branch_pairs_diamond():
     g = build_cfg(parse_or_raise(DIAMOND))
-    pairs = enumerate_branch_pairs(g)
+    pairs = g.edges()
     assert len(pairs) == 4
-    assert set(pairs) == set(edges_of(g))
+    assert pairs == set(edges_of(g))
 
 
 def test_branch_pairs_straight_line():
     g = build_cfg(parse_or_raise(STRAIGHT))
-    assert len(enumerate_branch_pairs(g)) == 1
+    assert len(g.edges()) == 1
 
 
 def test_empty_branch_arms_single_successor():
@@ -181,7 +180,7 @@ def walk_cfg_step(program, g, values, symbol):
     from reachfuzz.frontend import Assign, Emit, eval_expr
 
     if not (program.alphabet_lo <= symbol <= program.alphabet_hi):
-        return ("invalid", None, values, [])
+        return ("invalid_input", None, values, [])
     env = {name: v for (name, _), v in zip(program.globals, values)}
     env[program.param] = symbol
     outputs = []
@@ -200,7 +199,7 @@ def walk_cfg_step(program, g, values, symbol):
                 return ("ok", None, final, outputs)
             if t.kind is ExitKind.ERROR:
                 return ("error", t.error_id, final, outputs)
-            return ("invalid", None, final, outputs)
+            return ("invalid_input", None, final, outputs)
         if isinstance(t, Jump):
             cur = t.target
         else:

@@ -250,3 +250,55 @@ def test_report_missing_campaign_exit_two(tmp_path, capsys):
 def test_main_rejects_unknown_command(capsys):
     with pytest.raises(SystemExit):
         main(["garbage"])
+
+
+def nested_ifs(depth: int) -> str:
+    return (
+        "inputs 1..2; var a = 0; step(in){ "
+        + "if (a < 5) { " * depth + "a = in; " + "} " * depth
+        + "if (a == 2) { error 1; } }"
+    )
+
+
+def long_sum(terms: int) -> str:
+    return "inputs 1..2; var a = 0; step(in){ a = " + " + ".join(["a"] * terms) + "; }"
+
+
+@pytest.mark.parametrize("command", ["check", "fuzz", "oracle"])
+def test_program_too_deep_to_parse_is_a_diagnostic(tmp_path, capsys, command):
+    """400 nested ifs overflow the recursive-descent parser: a diagnostic
+    and exit 1, not a RecursionError."""
+    f = tmp_path / "deep.rrp"
+    f.write_text(nested_ifs(400))
+    extra = ["--out", str(tmp_path / "camp")] if command == "fuzz" else []
+    code, out, err = run(capsys, command, str(f), *extra)
+    assert code == 1
+    assert "error: program nests too deeply" in err
+
+
+@pytest.mark.parametrize(
+    "source",
+    [nested_ifs(120), long_sum(400), long_sum(600)],
+    # past Python's 100 indentation levels and 200 nested parentheses, and
+    # past the recursion limit while the oracle's expander folds the sum
+    ids=["120-nested-ifs", "400-term-sum", "600-term-sum"],
+)
+def test_program_too_deep_to_compile_exits_two(tmp_path, capsys, source):
+    f = tmp_path / "deep.rrp"
+    f.write_text(source)
+    assert run(capsys, "check", str(f))[0] == 0
+    camp = tmp_path / "camp"
+    camp.mkdir()
+    (camp / "stats.json").write_text('{"errors": {}}')
+    symbols = tmp_path / "input.txt"
+    symbols.write_text("1 2\n")
+    for argv in (
+        ["fuzz", str(f), "--max-execs", "100", "--out", str(tmp_path / "out")],
+        ["replay", str(f), str(symbols)],
+        ["oracle", str(f)],
+        ["report", str(camp), str(f)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith(f"cannot {argv[0]} {f}: "), err
+

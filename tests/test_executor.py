@@ -6,19 +6,20 @@ import struct
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from reachfuzz.cfg import assign_block_tags, build_cfg
+from reachfuzz.cfg import Branch, ExitKind, Jump, assign_block_tags, build_cfg
 from reachfuzz.executor import (
     DEFAULT_MAX_STEPS,
     MAP_SIZE,
+    ExecResult,
     GlobalMaps,
     classify_counts,
     compile_step,
     compile_target,
-    interpret_run,
     run,
+    state_entry,
     state_key,
 )
-from reachfuzz.frontend import parse_or_raise, reference_step
+from reachfuzz.frontend import Assign, eval_expr, parse_or_raise, reference_step
 from reachfuzz.gen import generate_program
 from reachfuzz.instrument import InstrumentationPlan, project_trace, select_instrumentation
 
@@ -26,6 +27,86 @@ EXAMPLE = (
     "inputs 1..5; var a = 1; "
     "step(in){ if (in == 3) { a = 2; emit 20; } else { reject; } }"
 )
+
+
+def reference_run(program, g, plan, input_seq, max_steps=DEFAULT_MAX_STEPS):
+    """Reference engine: walk the CFG block by block with explicit probes.
+    Returns the ExecResult the compiled target should give, and the block
+    trace of the run."""
+    if g.tags is None:
+        raise ValueError("cfg carries no tag table")
+    tags = g.tags
+    instrumented = plan.instrumented
+    env = {name: value for name, value in program.globals}
+    names = program.global_names()
+    lo, hi = program.alphabet_lo, program.alphabet_hi
+
+    counts = bytearray(MAP_SIZE)
+    touched: "list[int]" = []
+    keys: "list[int]" = []
+    outputs: "list[int]" = []
+    trace: "list[int]" = []
+    prev = tags[g.entry]
+    status = "ok"
+    error_id = None
+    steps = 0
+
+    for sym in input_seq:
+        if steps >= max_steps:
+            status = "step_limit"
+            break
+        if sym < lo or sym > hi:
+            status = "invalid_input"
+            break
+        env[program.param] = sym
+        bid = g.entry
+        exited = None
+        while exited is None:
+            trace.append(bid)
+            if bid in instrumented:
+                idx = (prev >> 1) ^ tags[bid]
+                c = counts[idx]
+                if c == 0:
+                    counts[idx] = 1
+                    touched.append(idx)
+                elif c < 255:
+                    counts[idx] = c + 1
+                prev = tags[bid]
+            blk = g.block(bid)
+            for st in blk.stmts:
+                if isinstance(st, Assign):
+                    env[st.name] = eval_expr(st.expr, env)
+                else:
+                    outputs.append(st.value)
+            term = blk.term
+            if isinstance(term, Jump):
+                bid = term.target
+            elif isinstance(term, Branch):
+                bid = term.then_id if eval_expr(term.cond, env) != 0 else term.else_id
+            else:
+                exited = term
+        if exited.kind is ExitKind.OK:
+            steps += 1
+            keys.append(state_key([env[n] for n in names]))
+        elif exited.kind is ExitKind.ERROR:
+            status = "error"
+            error_id = exited.error_id
+            break
+        else:
+            status = "invalid_input"
+            break
+
+    result = ExecResult(
+        status=status,
+        error_id=error_id,
+        steps=steps,
+        counts=counts,
+        touched=tuple(touched),
+        state_keys=tuple(keys),
+        outputs=tuple(outputs),
+        final_values=tuple(env[n] for n in names),
+    )
+    return result, tuple(trace)
 
 
 def build(src_or_program, tag_seed=0):
@@ -113,8 +194,8 @@ def test_state_key_frozen_vectors():
 
 
 def test_state_index_is_low_16_bits():
-    """The target's state-map entries are (key, byte, mask) of the bit at
-    the key's low 16 bits."""
+    """The target's state-map entries are state_entry of the key: (key,
+    byte, mask) of the bit at the key's low 16 bits."""
     p = parse_or_raise("inputs -3..3; var a = 0; var b = 5; step(in){ a = a * 7 + in; b = b - a; }")
     g = assign_block_tags(build_cfg(p), 0)
     t = compile_target(p, g, select_instrumentation(g))
@@ -126,6 +207,7 @@ def test_state_index_is_low_16_bits():
         values = tuple(reference_step(p, values, sym)[2])
         assert key == state_key(values)
         assert (byte, mask) == ((key & 0xFFFF) >> 3, 1 << (key & 7))
+        assert (key, byte, mask) == state_entry(state_key(values))
 
 
 def test_classify_counts_table():
@@ -178,7 +260,7 @@ def test_branch_pair_indices_hand_computed():
     p, g, plan = build(EXAMPLE)
     tags = {b.id: g.tags[b.id] for b in g.blocks}
     r = run(p, g, plan, [3])
-    path = interpret_run(p, g, plan, [3], record_trace=True).trace
+    _, path = reference_run(p, g, plan, [3])
     probes = [b for b in path if b in plan.instrumented]
     prev = tags[g.entry]
     want = []
@@ -195,8 +277,7 @@ def test_prev_tag_persists_across_steps():
     one = run(p, g, plan, [1])
     two = run(p, g, plan, [1, 1])
     tags = g.tags
-    probes = [b for b in interpret_run(p, g, plan, [1], record_trace=True).trace
-              if b in plan.instrumented]
+    probes = [b for b in reference_run(p, g, plan, [1])[1] if b in plan.instrumented]
     prev = tags[g.entry]
     seen = []
     for b in probes + probes:
@@ -291,9 +372,9 @@ def test_trace_matches_projection():
         rnd = random.Random(seed)
         for _ in range(10):
             seq = [rnd.randint(p.alphabet_lo, p.alphabet_hi) for _ in range(rnd.randint(1, 8))]
-            r = interpret_run(p, g, plan, seq, record_trace=True)
-            probes = project_trace(r.trace, plan.instrumented)
-            assert probes == tuple(b for b in r.trace if b in plan.instrumented)
+            _, trace = reference_run(p, g, plan, seq)
+            probes = project_trace(trace, plan.instrumented)
+            assert probes == tuple(b for b in trace if b in plan.instrumented)
 
 
 def test_compiled_and_interpreter_agree():
@@ -309,7 +390,7 @@ def test_compiled_and_interpreter_agree():
                             for _ in range(rnd.randint(0, 12)))
                 max_steps = rnd.choice((0, 1, 3, DEFAULT_MAX_STEPS))
                 a = target.run(seq, max_steps)
-                b = interpret_run(p, g, plan, seq, max_steps)
+                b, _ = reference_run(p, g, plan, seq, max_steps)
                 assert a.status == b.status
                 assert a.error_id == b.error_id
                 assert a.steps == b.steps
@@ -329,7 +410,7 @@ def test_compiled_wraps_like_interpreter():
     target = compile_target(p, g, plan)
     seq = [1, 2, 3] * 8
     a = target.run(seq)
-    b = interpret_run(p, g, plan, seq)
+    b, _ = reference_run(p, g, plan, seq)
     assert a.status == b.status == "ok"
     assert a.final_values == b.final_values
     assert a.state_keys == b.state_keys
@@ -360,8 +441,7 @@ def test_compiled_agrees_with_reference_step_composition():
                 if status != "ok":
                     break
                 steps += 1
-            want = {"ok": "ok", "error": "error", "invalid": "invalid_input"}[status]
-            assert r.status == want
+            assert r.status == status
             assert r.error_id == err
             assert r.steps == steps
             if r.status == "ok":

@@ -39,7 +39,7 @@ def test_parse_example_program():
     p = parse_or_raise(EXAMPLE)
     assert (p.alphabet_lo, p.alphabet_hi) == (1, 5)
     assert p.globals == (("a", 1),)
-    assert p.error_sites == frozenset()
+    assert list_error_ids(p) == frozenset()
     assert p.param == "in"
 
 
@@ -94,7 +94,7 @@ def test_error_sites_collects_every_id():
         "inputs 1..3; step(in){ "
         "if (in == 1) { error 7; } if (in == 2) { error 9; } }"
     )
-    assert p.error_sites == frozenset({7, 9})
+    assert list_error_ids(p) == frozenset({7, 9})
 
 
 def test_wrap64_boundaries():
@@ -222,7 +222,7 @@ def reference_step_naive(p, values, symbol):
             elif isinstance(s, ErrorStmt):
                 out = ("error", s.error_id)
             elif type(s).__name__ == "Reject":
-                out = ("invalid", None)
+                out = ("invalid_input", None)
             else:
                 env[s.name] = ev(s.expr)
                 out = None

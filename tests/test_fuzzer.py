@@ -1,30 +1,28 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from reachfuzz.executor import MAP_SIZE, STATUS_BY_CODE, GlobalMaps
+from reachfuzz.executor import BUCKET_LUT, MAP_SIZE, STATUS_BY_CODE, GlobalMaps
 from reachfuzz.frontend import parse_or_raise
 from reachfuzz.fuzzer import (
-    BUCKET_LUT,
+    ENERGY_BASE,
+    LONG_INPUT_LEN,
+    MAX_LEN,
     FuzzConfig,
     TestCase as QueueEntry,
     baseline_config,
-    delete_at,
-    duplicate_block,
     finalize,
     format_input,
     fuzz_loop,
     init_campaign,
-    insert_at,
     mutate,
     parse_input_text,
-    replace_at,
     schedule_energy,
-    splice,
     trim,
     write_outputs,
 )
@@ -33,15 +31,44 @@ from reachfuzz.gen import generate_program
 ERROR_ON_TWO = "inputs 1..5; var a = 0; step(in){ if (in == 2) { error 7; } a = in; }"
 
 
+class ScriptedRandom:
+    """Stands in for random.Random in mutate: random() returns a draw
+    that floors to each listed (value, range) pair in turn."""
+
+    def __init__(self, *picks):
+        self.draws = [(value + 0.5) / size for value, size in picks]
+
+    def random(self):
+        return self.draws.pop(0)
+
+
+TWO_STEPS = (0, 6)  # the stack draw for 2 << 0 mutations
+REPLACE, DELETE, INSERT, DUPLICATE, SPLICE = ((op, 5) for op in range(5))
+
+
 def test_replace_delete_insert_examples():
-    assert replace_at((1, 2, 3), 1, 5) == [1, 5, 3]
-    assert delete_at((1, 2, 3), 0) == [2, 3]
-    assert insert_at((1, 3), 1, 2) == [1, 2, 3]
+    # replace draws the pool symbol before the position
+    rng = ScriptedRandom(TWO_STEPS, REPLACE, (0, 2), (1, 3), DELETE, (0, 3))
+    assert mutate((1, 2, 3), (5, 7), rng) == (5, 3)
+    rng = ScriptedRandom(TWO_STEPS, INSERT, (1, 3), (0, 2), REPLACE, (1, 2), (2, 3))
+    assert mutate((1, 3), (2, 7), rng) == (1, 2, 7)
+    # a delete on a length-1 input degrades to a replace
+    rng = ScriptedRandom(TWO_STEPS, DELETE, (0, 1), (0, 1), INSERT, (0, 2), (0, 1))
+    assert mutate((4,), (6,), rng) == (6, 6)
+    assert not rng.draws
 
 
 def test_duplicate_and_splice_examples():
-    assert duplicate_block((1, 2, 3), 0, 2, 3) == [1, 2, 3, 1, 2]
-    assert splice((1, 2, 3), (7, 8, 9), 1, 2) == [1, 9]
+    corpus = [QueueEntry(input=seq, id=i, parent=None, new_branch=False, new_state=False,
+                         exec_index=0) for i, seq in enumerate([(7, 8, 9), (6,)])]
+    # duplicate [1, 2] at the end, then keep [1] and splice on (7, 8, 9)[2:]
+    rng = ScriptedRandom(TWO_STEPS, DUPLICATE, (0, 3), (1, 3), (3, 4),
+                         SPLICE, (0, 2), (0, 5), (2, 4))
+    assert mutate((1, 2, 3), (5,), rng, corpus=corpus) == (1, 9)
+    # a duplication past max_len is cut back to it
+    rng = ScriptedRandom(TWO_STEPS, DUPLICATE, (0, 3), (2, 3), (0, 4), REPLACE, (0, 1), (0, 4))
+    assert mutate((1, 2, 3), (5,), rng, max_len=4) == (5, 2, 3, 1)
+    assert not rng.draws
 
 
 @given(
@@ -125,32 +152,21 @@ def test_schedule_energy_table():
                     new_branch=True, new_state=False, exec_index=0)
     state = QueueEntry(input=(1, 2), id=1, parent=0,
                      new_branch=True, new_state=True, exec_index=5)
-    long_input = QueueEntry(input=tuple([1] * (cfg.long_input_len + 1)), id=2,
+    long_input = QueueEntry(input=tuple([1] * (LONG_INPUT_LEN + 1)), id=2,
                           parent=0, new_branch=True, new_state=False, exec_index=6)
     assert schedule_energy(base, cfg) == 128
     assert schedule_energy(state, cfg) == 256
     assert schedule_energy(long_input, cfg) == 64
-    both = QueueEntry(input=tuple([1] * (cfg.long_input_len + 1)), id=3,
+    both = QueueEntry(input=tuple([1] * (LONG_INPUT_LEN + 1)), id=3,
                     parent=0, new_branch=True, new_state=True, exec_index=7)
     assert schedule_energy(both, cfg) == 128
-
-
-def test_schedule_energy_clamped():
-    cfg = FuzzConfig(energy_base=4, energy_min=16, energy_max=1024)
-    t = QueueEntry(input=(1,), id=0, parent=None,
-                 new_branch=True, new_state=False, exec_index=0)
-    assert schedule_energy(t, cfg) == 16
-    cfg2 = FuzzConfig(energy_base=900)
-    s = QueueEntry(input=(1,), id=0, parent=None,
-                 new_branch=True, new_state=True, exec_index=0)
-    assert schedule_energy(s, cfg2) == 1024
 
 
 def test_schedule_energy_ignores_state_flag_when_disabled():
     cfg = baseline_config()
     s = QueueEntry(input=(1,), id=0, parent=None,
                  new_branch=True, new_state=True, exec_index=0)
-    assert schedule_energy(s, cfg) == cfg.energy_base
+    assert schedule_energy(s, cfg) == ENERGY_BASE
 
 
 def test_seeding_covers_alphabet():
@@ -236,37 +252,57 @@ def test_trim_preserves_signature_on_ok_inputs():
         assert signature(out) == signature(seq)
 
 
+def merge_reference(maps, result):
+    """Reference merge of an ExecResult: every touched index through the
+    bucket table, every state key's bit at its low 16 bits, and each key
+    into the key set while it is below the cap. No shortcut."""
+    new_branch = False
+    for idx in result.touched:
+        mask = BUCKET_LUT[result.counts[idx]]
+        cur = maps.virgin_branch[idx]
+        if mask & ~cur:
+            maps.virgin_branch[idx] = cur | mask
+            new_branch = True
+    new_state = False
+    for key in result.state_keys:
+        idx = key & 0xFFFF
+        b = maps.state_bits[idx >> 3]
+        m = 1 << (idx & 7)
+        if not b & m:
+            maps.state_bits[idx >> 3] = b | m
+            new_state = True
+        if len(maps.state_keys) < maps.state_key_cap:
+            maps.state_keys.add(key)
+    return new_branch, new_state
+
+
 def test_campaign_merge_matches_global_maps():
-    """The campaign's merge (unsaturated hit counts, known-key shortcut)
-    leaves the same maps and novelty flags as GlobalMaps.merge_and_report
-    on the reference ExecResult, with and without the key cap reached."""
+    """GlobalMaps.merge on the campaign's scratch buffers (unsaturated hit
+    counts, known-key shortcut) leaves the same maps and novelty flags as
+    the reference merge of the ExecResult, with and without the key cap
+    reached, and leaves the hit buffer zero."""
     from reachfuzz.fuzzer import _execute_and_merge
 
     loop = parse_or_raise("inputs 1..3; var a = 0; step(in){ if (in == 3) { a = 0; } a = a + in; }")
     for p in (loop, generate_program(seed=3)):
         for cap in (3, 10**6):
-            c = init_campaign(p, FuzzConfig(state_key_cap=cap), seed=0)
-            ref = GlobalMaps(
-                virgin_branch=bytearray(c.maps.virgin_branch),
-                state_bits=bytearray(c.maps.state_bits),
-                state_keys=set(c.maps.state_keys),
-                state_key_cap=cap,
-            )
+            c = init_campaign(p, seed=0)
+            c.maps, ref = GlobalMaps(state_key_cap=cap), GlobalMaps(state_key_cap=cap)
             scratch = ([0] * MAP_SIZE, [], [], [])
             rnd = random.Random(cap)
             for _ in range(120):
                 seq = tuple(rnd.randint(p.alphabet_lo, p.alphabet_hi)
-                            for _ in range(rnd.choice((1, 5, 40, 700))))
+                            for _ in range(rnd.choice((1, 5, 40, 500, 700))))
                 code, err, new_branch, new_state = _execute_and_merge(c, scratch, seq)
                 r = c.target.run(seq)
-                report = ref.merge_and_report(r)
                 assert STATUS_BY_CODE[code] == r.status
                 assert (err if code == 1 else None) == r.error_id
-                assert (new_branch, new_state) == (report.new_branch_bits, report.new_state_bits)
+                assert (new_branch, new_state) == merge_reference(ref, r)
                 assert c.maps.virgin_branch == ref.virgin_branch
                 assert c.maps.state_bits == ref.state_bits
                 assert c.maps.state_keys == ref.state_keys
-            assert not any(scratch[0])
+                assert not any(scratch[0])
+            assert len(ref.state_keys) == min(cap, len(c.target.key_cache))
 
 
 def test_fuzz_counts_trim_executions():
@@ -387,16 +423,15 @@ def test_baseline_retention_is_branch_only():
 
 
 def test_baseline_config_toggles_flags_only():
-    base = baseline_config()
-    assert base.use_value_pool is False
-    assert base.use_state_fitness is False
-    full = FuzzConfig()
-    assert full.use_value_pool is True
-    assert full.use_state_fitness is True
-    assert base.max_len == full.max_len
-    assert base.energy_base == full.energy_base
-    custom = baseline_config(FuzzConfig(max_len=77))
-    assert custom.max_len == 77 and custom.use_value_pool is False
+    assert [f.name for f in dataclasses.fields(FuzzConfig)] == ["baseline"]
+    assert baseline_config() == FuzzConfig(baseline=True)
+    assert FuzzConfig().baseline is False
+    # the baseline draws symbols uniformly; the full config weights the
+    # compared constant 2 and its neighbours
+    assert init_campaign(parse_or_raise(ERROR_ON_TWO), baseline_config()).pool_values == (
+        1, 2, 3, 4, 5)
+    assert init_campaign(parse_or_raise(ERROR_ON_TWO)).pool_values == (
+        1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 5)
 
 
 def test_queue_inputs_stay_in_alphabet():
@@ -405,7 +440,7 @@ def test_queue_inputs_stay_in_alphabet():
     fuzz_loop(c, max_execs=2500)
     for t in c.queue:
         assert all(p.alphabet_lo <= s <= p.alphabet_hi for s in t.input)
-        assert 1 <= len(t.input) <= c.config.max_len
+        assert 1 <= len(t.input) <= MAX_LEN
 
 
 def test_max_seconds_stops_loop():

@@ -101,14 +101,6 @@ def test_pool_weights_clamped_to_alphabet():
     assert input_value_pool(frozenset({3}), range(1, 4)) == ((1, 1), (2, 4), (3, 4))
 
 
-def test_pool_accepts_summary():
-    p = parse_or_raise("inputs 1..5; var a = 0; step(in){ if (in == 3) { a = 1; } }")
-    s = analyze(p)
-    assert input_value_pool(s, range(1, 6)) == input_value_pool(
-        s.input_constants, range(1, 6)
-    )
-
-
 def test_interval_ops_units():
     assert iv_add(Interval(1, 2), Interval(10, 20)) == Interval(11, 22)
     assert iv_add(Interval(1, INF), point(2)) == Interval(3, INF)

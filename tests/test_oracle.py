@@ -287,7 +287,7 @@ def test_expander_matches_reference_step():
                 if status == "error":
                     outcome[sym] = ([], {err: (values, sym)})
                     want_found.setdefault(err, (values, sym))
-                elif status == "invalid":
+                elif status == "invalid_input":
                     outcome[sym] = ([], {})
                 else:
                     nxt = tuple(nxt)
