@@ -61,7 +61,6 @@ from .fuzzer import (
 from .gen import generate_program, generate_source
 from .instrument import (
     InstrumentationPlan,
-    is_adequate,
     project_trace,
     select_instrumentation,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "generate_source",
     "init_campaign",
     "input_value_pool",
-    "is_adequate",
     "iter_paths",
     "list_error_ids",
     "mutate",

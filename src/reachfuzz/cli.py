@@ -57,21 +57,15 @@ def _load_program(path: str) -> "tuple[Program | None, int]":
 
 
 def cmd_check(args) -> int:
-    text = _read_text(args.file)
-    if text is None:
-        return 2
-    result = parse_program(text)
-    if isinstance(result, Program):
-        ids = sorted(list_error_ids(result))
-        print(
-            f"{args.file}: ok "
-            f"(alphabet {result.alphabet_lo}..{result.alphabet_hi}, "
-            f"{len(result.globals)} globals, {len(ids)} error ids)"
-        )
-        return 0
-    for diag in result:
-        print(f"{args.file}:{diag.render()}", file=sys.stderr)
-    return 1
+    program, code = _load_program(args.file)
+    if program is None:
+        return code
+    print(
+        f"{args.file}: ok "
+        f"(alphabet {program.alphabet_lo}..{program.alphabet_hi}, "
+        f"{len(program.globals)} globals, {len(list_error_ids(program))} error ids)"
+    )
+    return 0
 
 
 def cmd_analyze(args) -> int:
@@ -154,7 +148,7 @@ def cmd_replay(args) -> int:
     seq = parse_input_text(text)
     g = assign_block_tags(build_cfg(program), args.seed)
     plan = select_instrumentation(g)
-    result = run(program, g, plan, seq, max_steps=args.max_steps)
+    result = run(program, g, plan, seq)
     status = f"error({result.error_id})" if result.status == "error" else result.status
     print(f"status: {status}")
     print(f"steps: {result.steps}")
@@ -288,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("input")
     p.add_argument("--seed", type=int, default=0, help="tag assignment seed")
-    p.add_argument("--max-steps", type=int, default=4096)
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("oracle", help="exhaustive reachability ground truth")

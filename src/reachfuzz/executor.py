@@ -16,6 +16,7 @@ The test suite checks them against the AST reference interpreter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import wraps
 from operator import itemgetter
 
 from .cfg import CapacityError, Cfg, Exit, ExitKind, Jump, build_cfg
@@ -529,7 +530,6 @@ class CompiledTarget:
     """
 
     fn: "object"
-    source: str
     key_cache: dict = field(default_factory=dict)
 
     def run(self, input_seq, max_steps: int = DEFAULT_MAX_STEPS) -> ExecResult:
@@ -555,26 +555,39 @@ class CompiledTarget:
         )
 
 
+def _nesting_limit(generator):
+    """Wrap a code generator so that it raises CapacityError where the
+    program nests deeper than source can be generated for (the recursion
+    limit) or Python compiles (indentation levels, parentheses or the
+    compiler's recursion limit)."""
+
+    @wraps(generator)
+    def generate(*args):
+        try:
+            return generator(*args)
+        except (SyntaxError, RecursionError) as exc:
+            raise CapacityError(f"the program nests too deeply to compile ({exc})") from None
+
+    return generate
+
+
+@_nesting_limit
 def compile_target(program: Program, g: Cfg, plan: InstrumentationPlan) -> CompiledTarget:
     if g.tags is None:
         raise ValueError("cfg carries no tag table")
     source = _generate_source(program, g, plan.instrumented)
-    return CompiledTarget(fn=_compile(source, "<compiled-target>", "_target"), source=source)
+    return CompiledTarget(fn=_compile(source, "<compiled-target>", "_target"))
 
 
 def _compile(source: str, filename: str, name: str):
     """Compile generated source and return the function it defines as
-    name. CapacityError when the source nests deeper than Python compiles
-    (indentation levels, parentheses or the compiler's recursion limit)."""
+    name."""
     namespace = {"state_key": state_key, "state_entry": state_entry}
-    try:
-        code = compile(source, filename, "exec")
-    except (SyntaxError, RecursionError) as exc:
-        raise CapacityError(f"the program nests too deeply to compile ({exc})") from None
-    exec(code, namespace)
+    exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
 
 
+@_nesting_limit
 def compile_step(program: Program):
     """Uninstrumented single-step function.
 
@@ -582,7 +595,7 @@ def compile_step(program: Program):
     built from the same code generator as the campaign target, so both
     engines share one set of semantics.
     """
-    g = _bare_cfg(program)
+    g = build_cfg(program)
     gen, unpack, tuple_src = _names(program)
 
     lines = ["def _step(values, _s):"]
@@ -611,6 +624,7 @@ def _input_classes(program: Program) -> "list[range]":
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
+@_nesting_limit
 def compile_expand(program: Program):
     """Uninstrumented expansion of a whole BFS level, for exhaustive
     exploration.
@@ -637,7 +651,7 @@ def compile_expand(program: Program):
     in turn. Passing classes with one body's tuple set to (symbol,) and
     the others empty steps by that symbol alone.
     """
-    g = _bare_cfg(program)
+    g = build_cfg(program)
     gen, unpack, tuple_src = _names(program)
     pad = "            "
     epilogue = [
@@ -689,11 +703,6 @@ def compile_expand(program: Program):
         lines.append("        pass")
     lines.append("    return full")
     return _compile("\n".join(lines) + "\n", "<compiled-expand>", "_expand"), tuple(classes)
-
-
-def _bare_cfg(program: Program) -> Cfg:
-    g = build_cfg(program)
-    return Cfg(blocks=g.blocks, entry=g.entry, tags={b.id: 0 for b in g.blocks})
 
 
 def run(

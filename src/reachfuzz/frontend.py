@@ -18,8 +18,13 @@ Grammar (comments run ``//`` to end of line)::
                 | "emit" INT ";"
                 | "error" INT ";"
                 | "reject" ";"
-    expr       := or-expr over + - *, == != < <= > >=, && || !, parens,
-                  INT literals, globals, and the step's input parameter
+    expr       := unary (BINOP unary)*
+    unary      := ("-" | "!") unary | INT | IDENT | "(" expr ")"
+
+BINOP is one of || && == != < <= > >= + - *. How tightly each binds is
+the table _PREC, from || (loosest) to * (tightest); all are
+left-associative. IDENT in an expression names a global or the step's
+input parameter.
 
 All integer arithmetic is signed 64-bit with wraparound on overflow.
 Comparisons yield 0/1; logical operators treat any nonzero value as true.
@@ -238,6 +243,14 @@ def tokenize(text: str) -> "list[Token]":
 # ---------------------------------------------------------------------------
 
 
+# Binding strength of the binary operators, loosest first; unary - and !
+# bind tighter than all of them. The parser climbs this table and
+# format_expr reads it, so it is the one statement of precedence.
+_PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
+         "+": 4, "-": 4, "*": 5}
+_UNARY_PREC = 6
+
+
 class _ParseError(Exception):
     def __init__(self, token: Token, message: str):
         super().__init__(message)
@@ -346,44 +359,15 @@ class _Parser:
                 orelse = self.parse_block()
         return If(cond, then, orelse, pos=(tok.line, tok.col))
 
-    # Expression precedence, loosest first: || < && < comparisons < +- < * < unary.
-
-    def parse_expr(self) -> Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> Expr:
-        e = self.parse_and()
-        while self.peek().kind == "||":
-            tok = self.advance()
-            e = Binary("||", e, self.parse_and(), pos=(tok.line, tok.col))
-        return e
-
-    def parse_and(self) -> Expr:
-        e = self.parse_cmp()
-        while self.peek().kind == "&&":
-            tok = self.advance()
-            e = Binary("&&", e, self.parse_cmp(), pos=(tok.line, tok.col))
-        return e
-
-    def parse_cmp(self) -> Expr:
-        e = self.parse_add()
-        while self.peek().kind in ("==", "!=", "<", "<=", ">", ">="):
-            tok = self.advance()
-            e = Binary(tok.kind, e, self.parse_add(), pos=(tok.line, tok.col))
-        return e
-
-    def parse_add(self) -> Expr:
-        e = self.parse_mul()
-        while self.peek().kind in ("+", "-"):
-            tok = self.advance()
-            e = Binary(tok.kind, e, self.parse_mul(), pos=(tok.line, tok.col))
-        return e
-
-    def parse_mul(self) -> Expr:
+    def parse_expr(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing: the operand, then every operator binding at
+        least min_prec, each with a right operand that binds tighter, so
+        every operator is left-associative."""
         e = self.parse_unary()
-        while self.peek().kind == "*":
+        while _PREC.get(self.peek().kind, 0) >= min_prec:
             tok = self.advance()
-            e = Binary("*", e, self.parse_unary(), pos=(tok.line, tok.col))
+            rhs = self.parse_expr(_PREC[tok.kind] + 1)
+            e = Binary(tok.kind, e, rhs, pos=(tok.line, tok.col))
         return e
 
     def parse_unary(self) -> Expr:
@@ -414,13 +398,14 @@ class _Parser:
         raise _ParseError(tok, f"expected an expression, found {tok.kind!r}")
 
 
-def _walk_exprs(e: Expr) -> Iterator[Expr]:
+def walk_exprs(e: Expr) -> Iterator[Expr]:
+    """e and every subexpression of it, in preorder."""
     yield e
     if isinstance(e, Unary):
-        yield from _walk_exprs(e.operand)
+        yield from walk_exprs(e.operand)
     elif isinstance(e, Binary):
-        yield from _walk_exprs(e.lhs)
-        yield from _walk_exprs(e.rhs)
+        yield from walk_exprs(e.lhs)
+        yield from walk_exprs(e.rhs)
 
 
 def walk_stmts(stmts) -> Iterator[Stmt]:
@@ -457,7 +442,7 @@ def _validate(lo, hi, decls, param_tok, body) -> "list[Diagnostic]":
     declared = set(seen) | {param}
 
     def check_expr(e: Expr):
-        for node in _walk_exprs(e):
+        for node in walk_exprs(e):
             if isinstance(node, Name) and node.ident not in declared:
                 line, col = node.pos or (1, 1)
                 diags.append(
@@ -532,11 +517,6 @@ def list_error_ids(program: Program) -> frozenset:
 # Pretty printer
 # ---------------------------------------------------------------------------
 
-_PREC = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
-         "+": 4, "-": 4, "*": 5}
-_UNARY_PREC = 6
-
-
 def format_expr(e: Expr, parent_prec: int = 0, right: bool = False) -> str:
     if isinstance(e, IntLit):
         s = str(e.value)
@@ -561,21 +541,15 @@ def format_expr(e: Expr, parent_prec: int = 0, right: bool = False) -> str:
 def _format_stmts(stmts, indent: int, out: "list[str]"):
     pad = "    " * indent
     for st in stmts:
-        if isinstance(st, Assign):
-            out.append(f"{pad}{st.name} = {format_expr(st.expr)};")
-        elif isinstance(st, Emit):
-            out.append(f"{pad}emit {st.value};")
-        elif isinstance(st, ErrorStmt):
-            out.append(f"{pad}error {st.error_id};")
-        elif isinstance(st, Reject):
-            out.append(f"{pad}reject;")
-        elif isinstance(st, If):
-            out.append(f"{pad}if ({format_expr(st.cond)}) {{")
-            _format_stmts(st.then, indent + 1, out)
-            if st.orelse:
-                out.append(f"{pad}}} else {{")
-                _format_stmts(st.orelse, indent + 1, out)
-            out.append(f"{pad}}}")
+        if not isinstance(st, If):
+            out.append(pad + format_stmt_inline(st))
+            continue
+        out.append(f"{pad}if ({format_expr(st.cond)}) {{")
+        _format_stmts(st.then, indent + 1, out)
+        if st.orelse:
+            out.append(f"{pad}}} else {{")
+            _format_stmts(st.orelse, indent + 1, out)
+        out.append(f"{pad}}}")
 
 
 def pretty_print(program: Program) -> str:
@@ -589,7 +563,8 @@ def pretty_print(program: Program) -> str:
 
 
 def format_stmt_inline(st: Stmt) -> str:
-    """Single-line rendering used by the CFG dump."""
+    """Single-line rendering of a statement other than if, used by the
+    pretty printer and the CFG dump."""
     if isinstance(st, Assign):
         return f"{st.name} = {format_expr(st.expr)};"
     if isinstance(st, Emit):

@@ -64,12 +64,6 @@ def _adequacy_check(g: Cfg):
     return adequate
 
 
-def is_adequate(g: Cfg, s) -> bool:
-    """Exact adequacy check: True iff no two distinct entry-to-exit paths
-    project onto s identically. Polynomial in the size of g."""
-    return _adequacy_check(g)(s)
-
-
 def select_instrumentation(g: Cfg) -> InstrumentationPlan:
     """Choose a locally minimal adequate block set.
 

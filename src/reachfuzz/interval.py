@@ -31,6 +31,8 @@ from .frontend import (
     Program,
     Reject,
     Unary,
+    walk_exprs,
+    walk_stmts,
     wrap64,
 )
 
@@ -293,7 +295,6 @@ def refine(cond, env: dict, taken: bool) -> "dict | None":
     if isinstance(cond, IntLit):
         return env if bool(cond.value) == taken else None
     if isinstance(cond, Name):
-        iv = env[cond.ident]
         if taken:
             return _refine_var(env, cond.ident, "!=", ZERO)
         return _refine_var(env, cond.ident, "==", ZERO)
@@ -371,41 +372,20 @@ class IntervalSummary:
 
 
 def _collect_input_constants(program: Program) -> frozenset:
-    param = program.param
+    """Every literal compared with an expression that names the input."""
 
-    def references_param(e) -> bool:
-        if isinstance(e, Name):
-            return e.ident == param
-        if isinstance(e, Unary):
-            return references_param(e.operand)
-        if isinstance(e, Binary):
-            return references_param(e.lhs) or references_param(e.rhs)
-        return False
+    def names_input(e) -> bool:
+        return any(isinstance(n, Name) and n.ident == program.param for n in walk_exprs(e))
 
     consts = set()
-
-    def scan(e):
-        if isinstance(e, Binary):
-            if e.op in _CMP_OPS:
-                if isinstance(e.lhs, IntLit) and references_param(e.rhs):
-                    consts.add(e.lhs.value)
-                if isinstance(e.rhs, IntLit) and references_param(e.lhs):
-                    consts.add(e.rhs.value)
-            scan(e.lhs)
-            scan(e.rhs)
-        elif isinstance(e, Unary):
-            scan(e.operand)
-
-    def scan_stmts(stmts):
-        for st in stmts:
-            if isinstance(st, Assign):
-                scan(st.expr)
-            elif isinstance(st, If):
-                scan(st.cond)
-                scan_stmts(st.then)
-                scan_stmts(st.orelse)
-
-    scan_stmts(program.body)
+    for st in walk_stmts(program.body):
+        if not isinstance(st, (Assign, If)):
+            continue
+        for e in walk_exprs(st.expr if isinstance(st, Assign) else st.cond):
+            if isinstance(e, Binary) and e.op in _CMP_OPS:
+                for lit, other in ((e.lhs, e.rhs), (e.rhs, e.lhs)):
+                    if isinstance(lit, IntLit) and names_input(other):
+                        consts.add(lit.value)
     return frozenset(consts)
 
 
@@ -438,9 +418,6 @@ def analyze(program: Program) -> IntervalSummary:
     def post(env):
         return abstract_step(program, env, input_iv)
 
-    def env_join(a, b):
-        return _join_env(a, b)
-
     def env_le(a, b) -> bool:
         return all(b[n].covers(a[n]) for n in names)
 
@@ -448,7 +425,7 @@ def analyze(program: Program) -> IntervalSummary:
     unstable = 0
     while True:
         stepped = post(x)
-        y = env_join(x, stepped)
+        y = _join_env(x, stepped)
         if y == x:
             break
         unstable += 1
@@ -458,9 +435,9 @@ def analyze(program: Program) -> IntervalSummary:
             x = y
 
     stepped = post(x)
-    target = env_join(dict(init), stepped)
+    target = _join_env(dict(init), stepped)
     narrowed = {n: x[n].narrow(target[n]) for n in names}
-    recheck = env_join(dict(init), post(narrowed))
+    recheck = _join_env(dict(init), post(narrowed))
     if env_le(recheck, narrowed):
         x = narrowed
 

@@ -5,11 +5,14 @@ import json
 import pytest
 
 import reachfuzz.cli
-from reachfuzz.cfg import build_cfg, count_paths
+from reachfuzz.cfg import CapacityError, assign_block_tags, build_cfg, count_paths
 from reachfuzz.cli import main
-from reachfuzz.executor import DEFAULT_MAX_STEPS
-from reachfuzz.frontend import list_error_ids, parse_or_raise
+from reachfuzz.executor import DEFAULT_MAX_STEPS, compile_step, compile_target
+from reachfuzz.frontend import list_error_ids, parse_or_raise, reference_step
+from reachfuzz.fuzzer import FuzzConfig, fuzz_loop, init_campaign
 from reachfuzz.gen import generate_source
+from reachfuzz.instrument import select_instrumentation
+from reachfuzz.oracle import bfs_reachability
 
 BAD = "inputs 1..5; var a = 1; var a = 2; step(in){}"
 # 25 sequential ifs: 2^25 step paths, past any path-enumeration budget
@@ -302,3 +305,53 @@ def test_program_too_deep_to_compile_exits_two(tmp_path, capsys, source):
         assert code == 2, argv
         assert err.startswith(f"cannot {argv[0]} {f}: "), err
 
+
+def test_program_too_deep_to_compile_raises_capacity_error():
+    """Every code generator refuses the 600-term sum with CapacityError,
+    the oracle's expander included, not with a RecursionError."""
+    program = parse_or_raise(long_sum(600))
+    g = assign_block_tags(build_cfg(program), 0)
+    for call in (
+        lambda: compile_target(program, g, select_instrumentation(g)),
+        lambda: compile_step(program),
+        lambda: bfs_reachability(program),
+    ):
+        with pytest.raises(CapacityError, match="nests too deeply to compile"):
+            call()
+
+
+def nested_sums(depth: int) -> str:
+    """a grows by the input, through depth nested parenthesised sums."""
+    e = "a"
+    for _ in range(depth - 1):
+        e = f"(0 + {e})"
+    return (
+        f"inputs 1..3; var a = 0; step(in){{ if (a < 6) {{ a = (in + {e}); }} "
+        "if (a == 5) { error 1; } if (a == 4 && in == 3) { error 2; } }"
+    )
+
+
+def replays_to(program, witness) -> "int | None":
+    values = program.initial_values()
+    for sym in witness:
+        status, error_id, values, _ = reference_step(program, values, sym)
+        if status != "ok":
+            return error_id
+    return None
+
+
+def test_200_nested_parenthesised_sums_fuzz_and_pass_the_oracle(tmp_path, capsys):
+    f = tmp_path / "nested.rrp"
+    f.write_text(nested_sums(200))
+    assert f.read_text().count("(0 + ") == 199
+    code, out, _ = run(capsys, "check", str(f))
+    assert code == 0 and "2 error ids" in out
+    program = parse_or_raise(nested_sums(200))
+    oracle = bfs_reachability(program)
+    assert oracle.complete and set(oracle.reachable) == {1, 2}
+    campaign = init_campaign(program, FuzzConfig(), seed=0, max_execs=2000)
+    found = fuzz_loop(campaign, max_execs=2000).errors
+    assert set(found) == {1, 2}
+    for k in (1, 2):
+        assert replays_to(program, oracle.reachable[k]) == k
+        assert replays_to(program, found[k].witness) == k

@@ -11,7 +11,9 @@ from reachfuzz.frontend import (
     IntLit,
     Name,
     Program,
+    Unary,
     eval_expr,
+    format_expr,
     list_error_ids,
     parse_or_raise,
     parse_program,
@@ -164,6 +166,40 @@ def test_parse_totality_arbitrary_text(text):
 @settings(max_examples=25, deadline=None)
 def test_parse_totality_generated_sources(seed):
     assert isinstance(parse_program(generate_source(seed=seed)), Program)
+
+
+# Operator ranks, loosest first, written out here rather than read from
+# the parser; every binary operator is left-associative, and unary - and !
+# bind tighter than all of them.
+RANKS = (("||",), ("&&",), ("==", "!=", "<", "<=", ">", ">="), ("+", "-"), ("*",))
+RANK = {op: r for r, ops in enumerate(RANKS) for op in ops}
+PREFIX = "inputs 1..2; var a = 0; var b = 0; var c = 0; step(in){ a = "
+
+
+def test_precedence_and_associativity_of_every_operator_pair():
+    a, b, c = Name("a"), Name("b"), Name("c")
+    for op1 in RANK:
+        for op2 in RANK:
+            text = f"a {op1} b {op2} c"
+            col1 = len(PREFIX) + len("a ") + 1
+            col2 = len(PREFIX) + len(f"a {op1} b ") + 1
+            e = parse_or_raise(PREFIX + text + "; }").body[0].expr
+            left = Binary(op2, Binary(op1, a, b), c)
+            right = Binary(op1, a, Binary(op2, b, c))
+            if RANK[op1] >= RANK[op2]:
+                assert e == left, text
+                assert (e.pos, e.lhs.pos) == ((1, col2), (1, col1)), text
+            else:
+                assert e == right, text
+                assert (e.pos, e.rhs.pos) == ((1, col1), (1, col2)), text
+            # the printer agrees: the parsed shape needs no parentheses,
+            # the other one does and reparses to itself
+            assert format_expr(e) == text
+            other = right if e == left else left
+            other_text = format_expr(other)
+            assert "(" in other_text, text
+            assert parse_or_raise(PREFIX + other_text + "; }").body[0].expr == other
+        assert format_expr(Binary(op1, Unary("-", a), Unary("!", b))) == f"-a {op1} !b"
 
 
 def test_tokenize_reports_positions():

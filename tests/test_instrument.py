@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from reachfuzz.cfg import Branch, build_cfg, count_paths, iter_paths
 from reachfuzz.frontend import parse_or_raise
 from reachfuzz.gen import generate_program
-from reachfuzz.instrument import is_adequate, project_trace, select_instrumentation
+from reachfuzz.instrument import _adequacy_check, project_trace, select_instrumentation
 
 DIAMOND = "inputs 1..5; var a = 0; step(in){ if (in == 3) { a = 2; } else { a = 1; } }"
 TWO_DIAMONDS = (
@@ -28,18 +28,18 @@ def diamond_parts(g):
 
 def test_diamond_entry_only_not_adequate():
     g = build_cfg(parse_or_raise(DIAMOND))
-    assert is_adequate(g, frozenset({g.entry})) is False
+    assert _adequacy_check(g)(frozenset({g.entry})) is False
 
 
 def test_diamond_entry_plus_arm_adequate():
     g = build_cfg(parse_or_raise(DIAMOND))
     entry, then_id, _ = diamond_parts(g)
-    assert is_adequate(g, frozenset({entry, then_id})) is True
+    assert _adequacy_check(g)(frozenset({entry, then_id})) is True
 
 
 def test_chain_entry_only_adequate():
     g = build_cfg(parse_or_raise(CHAIN))
-    assert is_adequate(g, frozenset({g.entry})) is True
+    assert _adequacy_check(g)(frozenset({g.entry})) is True
 
 
 def test_select_diamond_two_blocks():
@@ -96,7 +96,7 @@ def test_reconstruct_ambiguous_projection():
     g = build_cfg(parse_or_raise(DIAMOND))
     s = frozenset({g.entry})
     assert len(paths_projecting_to(g, s, (g.entry,))) == 2
-    assert not is_adequate(g, s)
+    assert not _adequacy_check(g)(s)
 
 
 def test_certificate_reports_path_count():
@@ -152,7 +152,7 @@ def test_is_adequate_matches_enumeration_on_random_subsets(data):
     s = picked if data.draw(st.booleans(), label="keep picked") else set(ids) - picked
     paths = list(iter_paths(g))
     for subset in (s | {g.entry}, s - {g.entry}):
-        assert is_adequate(g, subset) is adequate_over(paths, subset), sorted(subset)
+        assert _adequacy_check(g)(subset) is adequate_over(paths, subset), sorted(subset)
 
 
 def test_select_matches_enumeration_greedy():
@@ -168,7 +168,7 @@ def brute_force_minimum(g):
     for size in range(0, len(rest) + 1):
         for combo in itertools.combinations(rest, size):
             s = frozenset((g.entry,) + combo)
-            if is_adequate(g, s):
+            if _adequacy_check(g)(s):
                 return s
     raise AssertionError("full set must be adequate")
 
@@ -198,7 +198,7 @@ def test_greedy_matches_brute_force_on_small_graphs():
             continue
         plan = select_instrumentation(g)
         best = brute_force_minimum(g)
-        assert is_adequate(g, plan.instrumented) is True
+        assert _adequacy_check(g)(plan.instrumented) is True
         assert len(plan.instrumented) == len(best)
         checked += 1
     assert checked >= 4
@@ -211,7 +211,7 @@ def test_local_minimality_on_generated():
         for v in sorted(plan.instrumented):
             if v == g.entry:
                 continue
-            assert is_adequate(g, plan.instrumented - {v}) is False
+            assert _adequacy_check(g)(plan.instrumented - {v}) is False
 
 
 @given(st.integers(min_value=0, max_value=200))
