@@ -71,10 +71,6 @@ class BasicBlock:
         if isinstance(self.term, Jump):
             return (self.term.target,)
         if isinstance(self.term, Branch):
-            # A branch with two empty arms targets the join twice; collapse
-            # it so path enumeration never yields duplicate node sequences.
-            if self.term.then_id == self.term.else_id:
-                return (self.term.then_id,)
             return (self.term.then_id, self.term.else_id)
         return ()
 

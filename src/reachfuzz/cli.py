@@ -146,7 +146,7 @@ def cmd_replay(args) -> int:
     if text is None:
         return 2
     seq = parse_input_text(text)
-    g = assign_block_tags(build_cfg(program), args.seed)
+    g = assign_block_tags(build_cfg(program), 0)
     plan = select_instrumentation(g)
     result = run(program, g, plan, seq)
     status = f"error({result.error_id})" if result.status == "error" else result.status
@@ -281,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="execute one input file")
     p.add_argument("file")
     p.add_argument("input")
-    p.add_argument("--seed", type=int, default=0, help="tag assignment seed")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("oracle", help="exhaustive reachability ground truth")

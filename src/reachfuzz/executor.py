@@ -386,20 +386,12 @@ def _emit_body(
             return _DEAD
         join = term.join_id
         then_id, else_id = term.then_id, term.else_id
-        if then_id == else_id:
-            # both arms empty: condition is pure, nothing to evaluate
-            bid = then_id
-            continue
         known = gen.decide(term.cond)
         if known is not None:
             # the taken arm leads on to the join like any other block
             bid = then_id if known else else_id
             continue
-        negate = then_id == join
-        if negate:
-            arm_ids = [else_id]
-        else:
-            arm_ids = [then_id] if else_id == join else [then_id, else_id]
+        arm_ids = [then_id] if else_id == join else [then_id, else_id]
         arms = []
         for arm_id in arm_ids:
             sub: "list[str]" = []
@@ -423,8 +415,9 @@ def _emit_body(
         else:
             prev = live.pop() if live else _DEAD
         # conditions have no effects, so an if with no arm left goes too
-        if len(arms) == 2 and not arms[0][0]:
-            negate, arms = True, arms[1:]
+        negate = len(arms) == 2 and not arms[0][0]
+        if negate:
+            arms = arms[1:]
         if arms[0][0]:
             lines.append(f"{pad}if {'not ' if negate else ''}{gen.truth(term.cond)}:")
             lines.extend(arms[0][0])

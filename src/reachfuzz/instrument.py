@@ -2,27 +2,34 @@
 
 A set S of blocks is adequate when the projection onto S of any
 entry-to-exit path identifies that path uniquely, so hit maps recorded at
-S-blocks only lose no path information. Selection starts from a cheap
-structural superset and greedily removes nodes while adequacy holds.
+S-blocks only lose no path information.
 
-Adequacy is checked in polynomial time from segment counts. A segment is
-a path from a source (the entry or a block of S) that stops at the first
-S-block after its start, or at an exit. S is adequate iff, from every
-source, each block of S ends at most one segment and the exits outside S
-end at most one segment between them. Two paths with the same projection
-split at their shared probes into segments, one pair of which must
-differ; conversely, since every block is reachable from the entry and
-reaches an exit, two such segments extend to two full paths with the same
-projection. Counts are capped at 2 and propagated in topological order,
-in the manner of Ball & Larus path profiling.
+For a CFG made by `build_cfg`, the entry block plus the then-block of
+every branch is an adequate set that no then-block can leave. The rule
+rests on the lowering: a branch's then-block is always a fresh block,
+made before the blocks of its arms and of its join, and nothing but that
+branch leads into it.
+
+- Adequate: two distinct paths first part at some branch. Only one of
+  them enters its then-block, and the other cannot enter it later,
+  because only that branch leads into it. So their projections differ.
+- Locally minimal: drop a then-block t. Take two paths with the same
+  prefix up to t's branch, one entering t and one its else side, that
+  take the else side at every later branch. After the branch neither
+  meets a probe, so their projections are equal.
+- It is the set that a greedy removal from the entry, the joins and the
+  then-blocks, in descending id order, ends at. Adding probes never
+  merges projections, so every block outside the rule's set is
+  removable. The blocks that could stand in for a then-block t lie
+  inside t's arms or after its join, all with higher ids than t, so the
+  greedy removes them before it tries t.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .cfg import Branch, Cfg, topological_order
+from .cfg import Branch, Cfg
 
 
 @dataclass(frozen=True)
@@ -36,60 +43,12 @@ def project_trace(trace, s) -> "tuple[int, ...]":
     return tuple(b for b in trace if b in s)
 
 
-def _adequacy_check(g: Cfg):
-    """Return adequate(s) for g; successor lists and the topological order
-    are computed once and shared by every call. Every exit gets one
-    virtual successor, the sink, which counts as a probe, so the exit
-    condition becomes the probe condition at the sink."""
-    sink = len(g.blocks)
-    succs = [b.successors() or (sink,) for b in g.blocks]
-    order = topological_order(g) + [sink]
-
-    def adequate(s) -> bool:
-        stops = {*s, sink}
-        for w in {g.entry, *s}:
-            count = {w: 1}  # segments from w reaching each block, capped at 2
-            for u in order[order.index(w):]:
-                c = count.get(u)
-                if c is None:
-                    continue
-                if u != w and u in stops:
-                    if c > 1:
-                        return False
-                else:
-                    for v in succs[u]:
-                        count[v] = 2 if v in count else c
-        return True
-
-    return adequate
-
-
 def select_instrumentation(g: Cfg) -> InstrumentationPlan:
-    """Choose a locally minimal adequate block set.
-
-    Start from the entry block, every join (in-degree >= 2), and the then
-    successor of every branch; fall back to all blocks if that misses.
-    Then drop nodes one at a time in descending id order, keeping each
-    removal that preserves adequacy. Removing any single remaining
-    non-entry node breaks adequacy.
-    """
-    adequate = _adequacy_check(g)
-    indeg = Counter(succ for b in g.blocks for succ in b.successors())
-    s = {g.entry}
-    s.update(i for i, d in indeg.items() if d >= 2)
-    s.update(b.term.then_id for b in g.blocks if isinstance(b.term, Branch))
-    if not adequate(s):
-        s = {b.id for b in g.blocks}
-
-    for node in sorted(s, reverse=True):
-        if node == g.entry:
-            continue
-        s.discard(node)
-        if not adequate(s):
-            s.add(node)
-
+    """Probe the entry and the then-block of every branch of g, which must
+    come from `build_cfg` (the module docstring gives why that set is
+    adequate and locally minimal)."""
+    then_ids = [b.term.then_id for b in g.blocks if isinstance(b.term, Branch)]
     return InstrumentationPlan(
-        instrumented=frozenset(s),
-        adequacy_certificate=f"segment counts from {len(s)} sources over {len(g.blocks)} blocks",
+        instrumented=frozenset([g.entry, *then_ids]),
+        adequacy_certificate=f"entry and the then-block of each of {len(then_ids)} branches",
     )
-

@@ -30,7 +30,7 @@ def successors(block):
     if isinstance(t, Jump):
         return [t.target]
     if isinstance(t, Branch):
-        return [t.then_id] if t.then_id == t.else_id else [t.then_id, t.else_id]
+        return [t.then_id, t.else_id]
     return []
 
 
@@ -113,14 +113,14 @@ def test_branch_pairs_straight_line():
 
 
 def test_empty_branch_arms_single_successor():
-    g = build_cfg(parse_or_raise("inputs 1..2; var a = 0; step(in){ if (in == 1) {} else {} }"))
-    branch_blocks = [b for b in g.blocks if isinstance(b.term, Branch)]
-    assert branch_blocks
-    for b in branch_blocks:
-        if b.term.then_id == b.term.else_id:
-            assert successors(b) == [b.term.then_id]
-    paths = list(iter_paths(g))
-    assert len(paths) == len(set(paths))
+    # the then-block is always a fresh block, even for empty arms, so a
+    # branch has two distinct successors and no path repeats
+    for body in ("if (in == 1) {} else {}", "if (in == 1) {}"):
+        g = build_cfg(parse_or_raise(f"inputs 1..2; var a = 0; step(in){{ {body} }}"))
+        [b] = [b for b in g.blocks if isinstance(b.term, Branch)]
+        assert b.term.then_id != b.term.else_id
+        paths = list(iter_paths(g))
+        assert len(paths) == len(set(paths)) == 2
 
 
 def chain_cfg(n, seed=0):

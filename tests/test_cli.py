@@ -240,7 +240,7 @@ def test_many_path_program_fuzzes_and_plans(tmp_path, capsys):
     assert "errors in" in out
     code, out, _ = run(capsys, "analyze", str(f), "--plan")
     assert code == 0
-    assert "certificate: segment counts" in out
+    assert "certificate: entry and the then-block of each of 25 branches" in out
 
 
 def test_report_missing_campaign_exit_two(tmp_path, capsys):

@@ -3,12 +3,12 @@ from __future__ import annotations
 import itertools
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from reachfuzz.cfg import Branch, build_cfg, count_paths, iter_paths
 from reachfuzz.frontend import parse_or_raise
 from reachfuzz.gen import generate_program
-from reachfuzz.instrument import _adequacy_check, project_trace, select_instrumentation
+from reachfuzz.instrument import project_trace, select_instrumentation
 
 DIAMOND = "inputs 1..5; var a = 0; step(in){ if (in == 3) { a = 2; } else { a = 1; } }"
 TWO_DIAMONDS = (
@@ -26,20 +26,32 @@ def diamond_parts(g):
     return entry, then_id, else_id
 
 
+def adequate_over(paths, s):
+    """Reference adequacy check: no two of the given entry-to-exit paths
+    have the same projection onto s."""
+    seen = set()
+    for path in paths:
+        proj = project_trace(path, s)
+        if proj in seen:
+            return False
+        seen.add(proj)
+    return True
+
+
 def test_diamond_entry_only_not_adequate():
     g = build_cfg(parse_or_raise(DIAMOND))
-    assert _adequacy_check(g)(frozenset({g.entry})) is False
+    assert adequate_over(iter_paths(g), frozenset({g.entry})) is False
 
 
 def test_diamond_entry_plus_arm_adequate():
     g = build_cfg(parse_or_raise(DIAMOND))
     entry, then_id, _ = diamond_parts(g)
-    assert _adequacy_check(g)(frozenset({entry, then_id})) is True
+    assert adequate_over(iter_paths(g), frozenset({entry, then_id})) is True
 
 
 def test_chain_entry_only_adequate():
     g = build_cfg(parse_or_raise(CHAIN))
-    assert _adequacy_check(g)(frozenset({g.entry})) is True
+    assert adequate_over(iter_paths(g), frozenset({g.entry})) is True
 
 
 def test_select_diamond_two_blocks():
@@ -96,29 +108,18 @@ def test_reconstruct_ambiguous_projection():
     g = build_cfg(parse_or_raise(DIAMOND))
     s = frozenset({g.entry})
     assert len(paths_projecting_to(g, s, (g.entry,))) == 2
-    assert not _adequacy_check(g)(s)
+    assert not adequate_over(iter_paths(g), s)
 
 
 def test_certificate_reports_path_count():
     g = build_cfg(parse_or_raise(DIAMOND))
     plan = select_instrumentation(g)
-    assert plan.adequacy_certificate == "segment counts from 2 sources over 4 blocks"
-
-
-def adequate_over(paths, s):
-    """Reference adequacy check: no two of the listed entry-to-exit paths
-    have the same projection onto s."""
-    seen = set()
-    for path in paths:
-        proj = project_trace(path, s)
-        if proj in seen:
-            return False
-        seen.add(proj)
-    return True
+    assert plan.adequacy_certificate == "entry and the then-block of each of 1 branches"
 
 
 def greedy_by_enumeration(g):
-    """The greedy of select_instrumentation run over the reference check."""
+    """Reference plan: from the entry, the joins and the then-blocks,
+    drop blocks in descending id order while the enumeration check holds."""
     paths = list(iter_paths(g))
     indeg = {b.id: 0 for b in g.blocks}
     for b in g.blocks:
@@ -138,37 +139,58 @@ def greedy_by_enumeration(g):
     return frozenset(s)
 
 
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_is_adequate_matches_enumeration_on_random_subsets(data):
-    seed = data.draw(st.integers(min_value=0, max_value=400), label="gen seed")
-    depth = data.draw(st.integers(min_value=1, max_value=3), label="depth")
-    g = build_cfg(generate_program(vars=2, depth=depth, errors=3, seed=seed))
-    if count_paths(g) > 2000:
-        return
-    ids = [b.id for b in g.blocks]
-    picked = set(data.draw(st.lists(st.sampled_from(ids), unique=True), label="picked"))
-    # the complement of a short pick is a near-full set, mostly adequate
-    s = picked if data.draw(st.booleans(), label="keep picked") else set(ids) - picked
-    paths = list(iter_paths(g))
-    for subset in (s | {g.entry}, s - {g.entry}):
-        assert _adequacy_check(g)(subset) is adequate_over(paths, subset), sorted(subset)
-
-
 def test_select_matches_enumeration_greedy():
     for seed in range(50):
         g = build_cfg(generate_program(seed=seed))
         assert select_instrumentation(g).instrumented == greedy_by_enumeration(g), seed
 
 
+_SIMPLE = st.sampled_from(["a = a + 1; ", "b = in; ", "emit 1; ", "error 1; ", "error 2; ", "reject; "])
+_CONDS = st.sampled_from(["in == 1", "a < 2", "b != in"])
+
+
+def _if_chains(body):
+    """`if`, `if`/`else` and `else if` chains over the given arm bodies."""
+    return st.builds(
+        lambda arms, orelse: " else ".join(f"if ({c}) {{ {b}}}" for c, b in arms)
+        + ("" if orelse is None else f" else {{ {orelse}}}")
+        + " ",
+        st.lists(st.tuples(_CONDS, body), min_size=1, max_size=4),
+        st.none() | body,
+    )
+
+
+_BODIES = st.recursive(
+    st.lists(_SIMPLE, max_size=3).map("".join),
+    lambda body: st.lists(_SIMPLE | _if_chains(body), max_size=4).map("".join),
+    max_leaves=12,
+)
+# empty arms, error/reject in one or both arms, else-if chains and
+# statements after error
+_STEP_BODIES = st.builds(
+    lambda chains, rest: "".join(chains) + rest,
+    st.lists(_if_chains(_BODIES), min_size=1, max_size=2),
+    _BODIES,
+)
+
+
+@given(_STEP_BODIES)
+@settings(max_examples=300, deadline=None)
+def test_rule_matches_enumeration_greedy_on_structured_programs(body):
+    g = build_cfg(parse_or_raise(f"inputs 1..3; var a = 0; var b = 0; step(in){{ {body}}}"))
+    assume(count_paths(g) <= 2000)
+    assert select_instrumentation(g).instrumented == greedy_by_enumeration(g)
+
+
 def brute_force_minimum(g):
     """Smallest adequate block subset by exhaustive search; entry always
     included to match the probe-at-entry execution model."""
+    paths = list(iter_paths(g))
     rest = sorted(b.id for b in g.blocks if b.id != g.entry)
     for size in range(0, len(rest) + 1):
         for combo in itertools.combinations(rest, size):
             s = frozenset((g.entry,) + combo)
-            if _adequacy_check(g)(s):
+            if adequate_over(paths, s):
                 return s
     raise AssertionError("full set must be adequate")
 
@@ -198,7 +220,7 @@ def test_greedy_matches_brute_force_on_small_graphs():
             continue
         plan = select_instrumentation(g)
         best = brute_force_minimum(g)
-        assert _adequacy_check(g)(plan.instrumented) is True
+        assert adequate_over(iter_paths(g), plan.instrumented) is True
         assert len(plan.instrumented) == len(best)
         checked += 1
     assert checked >= 4
@@ -208,10 +230,11 @@ def test_local_minimality_on_generated():
     for seed in range(5):
         g = build_cfg(generate_program(vars=3, depth=3, errors=4, seed=seed))
         plan = select_instrumentation(g)
+        paths = list(iter_paths(g))
         for v in sorted(plan.instrumented):
             if v == g.entry:
                 continue
-            assert _adequacy_check(g)(plan.instrumented - {v}) is False
+            assert adequate_over(paths, plan.instrumented - {v}) is False
 
 
 @given(st.integers(min_value=0, max_value=200))

@@ -434,3 +434,20 @@ def test_else_if_chain_of_150_arms():
     assert res.reachable == {1: (0,), 2: (50,), 3: (100,)}
     for k, witness in res.reachable.items():
         assert reference_step(p, p.initial_values(), witness[0])[:2] == ("error", k)
+
+
+def test_else_if_chain_of_500_arms_fuzzes():
+    """Instrumentation planning does not grow with the arm count: a
+    500-arm chain sets up and fuzzes, and every witness replays to its
+    error through the AST interpreter."""
+    p = parse_or_raise(else_if_chain(500))
+    c = init_campaign(p, seed=1)
+    result = fuzz_loop(c, max_execs=2000)
+    assert result.errors
+    for k, rec in result.errors.items():
+        values = p.initial_values()
+        for sym in rec.witness:
+            status, err, values, _outs = reference_step(p, values, sym)
+            if status != "ok":
+                break
+        assert (status, err) == ("error", k)
