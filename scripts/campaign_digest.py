@@ -9,13 +9,17 @@ benchmark's.
 Usage:
     PYTHONPATH=src python3 scripts/campaign_digest.py
 
-Prints two lines:
+Prints three lines:
     campaigns <sha1>  each campaign's corpus (inputs, parents, novelty
                       flags, exec indices), its witnesses with their exec
                       indices, both coverage maps, the state-key set and
                       the exec count;
     plans <sha1>      each campaign's instrumentation plan and the source
-                      of its generated target.
+                      of its generated target;
+    oracle <sha1>     `bfs_reachability` on every program at its
+                      workload's state cap and at caps 50 and 7: the
+                      reachable ids in order with their witnesses, the
+                      explored state count and `complete`.
 """
 
 from __future__ import annotations
@@ -28,17 +32,22 @@ from reachfuzz.executor import _generate_source
 from reachfuzz.frontend import parse_or_raise
 from reachfuzz.fuzzer import FuzzConfig, baseline_config, fuzz_loop, init_campaign
 from reachfuzz.gen import generate_source
+from reachfuzz.oracle import bfs_reachability
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def benchmark_programs() -> "tuple[list[tuple[str, int]], int]":
-    """([(program text, budget)] over every workload, fuzzer seed)."""
+ORACLE_CAPS = (50, 7)  # state caps run besides each workload's own
+
+
+def benchmark_programs() -> "tuple[list[tuple[str, int, int]], int]":
+    """([(program text, budget, oracle state cap)] over every workload,
+    fuzzer seed)."""
     sys.path.insert(0, str(PERFBENCH))
     import workloads
 
     programs = [
-        (generate_source(seed=g, **w.gen), w.budget)
+        (generate_source(seed=g, **w.gen), w.budget, w.state_cap)
         for w in workloads.WORKLOADS.values()
         for g in w.gen_seeds
     ]
@@ -68,10 +77,25 @@ def digests(programs, seed: int) -> "tuple[str, str]":
     return campaigns.hexdigest(), plans.hexdigest()
 
 
+def oracle_digest(programs) -> str:
+    """Digest of the oracle's results over programs, a list of (program
+    text, state cap), each run at its cap and at every ORACLE_CAPS cap."""
+    digest = hashlib.sha1()
+    for text, state_cap in programs:
+        program = parse_or_raise(text)
+        for cap in (state_cap, *ORACLE_CAPS):
+            res = bfs_reachability(program, state_cap=cap)
+            record = (list(res.reachable.items()), res.explored_states, res.complete)
+            digest.update(repr(record).encode() + b"\n")
+    return digest.hexdigest()
+
+
 def main() -> int:
-    campaigns, plans = digests(*benchmark_programs())
+    programs, seed = benchmark_programs()
+    campaigns, plans = digests([(text, budget) for text, budget, _ in programs], seed)
     print(f"campaigns {campaigns}")
     print(f"plans {plans}")
+    print(f"oracle {oracle_digest([(text, cap) for text, _, cap in programs])}")
     return 0
 
 

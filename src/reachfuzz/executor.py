@@ -20,9 +20,9 @@ from functools import wraps
 from operator import itemgetter
 
 from .cfg import CapacityError, Cfg, Exit, ExitKind, Jump, build_cfg
-from .frontend import Assign, Binary, IntLit, Name, Program, Unary
+from .frontend import I64_MAX, I64_MIN, Assign, Binary, IntLit, Name, Program, Unary, is_arith
 from .instrument import InstrumentationPlan
-from .interval import TOP, Interval, _collect_input_constants, _truth, eval_abs
+from .interval import TOP, Interval, _collect_input_constants, _truth, assignment_bounds, eval_abs
 
 MAP_SIZE = 65536  # branch-pair byte map entries; also state-map bit count
 STATE_BYTES = MAP_SIZE // 8
@@ -174,8 +174,9 @@ class _ExprGen:
     Names and literals are always already in wrapped form.
     """
 
-    def __init__(self, rename: dict):
+    def __init__(self, rename: dict, bounds: dict):
         self.rename = rename
+        self.bounds = bounds  # interval.assignment_bounds of the program
 
     def decide(self, cond) -> "bool | None":
         """The truth value of a branch condition when it is known at
@@ -200,11 +201,7 @@ class _ExprGen:
 
     def wrapped(self, e) -> str:
         """Source for the exact signed-64 value."""
-        if isinstance(e, (IntLit, Name)):
-            return self.value(e)
-        if isinstance(e, Unary) and e.op == "!":
-            return self.value(e)
-        if isinstance(e, Binary) and e.op not in ("+", "-", "*"):
+        if not is_arith(e):
             return self.value(e)
         return f"({_wrap_src(self.value(e))})"
 
@@ -222,23 +219,30 @@ class _ExprGen:
                 return f"({self.wrapped(e.lhs)} {e.op} {self.wrapped(e.rhs)})"
         return f"({self.wrapped(e)} != 0)"
 
-    def assign(self, target: str, e, pad: str) -> "list[str]":
-        """Statements storing the exact signed-64 value of e in target.
+    def assign(self, target: str, st: Assign, pad: str) -> "list[str]":
+        """Statements storing the exact signed-64 value of st's expression
+        in target.
 
         An arithmetic result is wrapped only when it leaves the signed
-        64-bit range: two comparisons cost less than the three big-int
-        operations of an unconditional wrap.
+        64-bit range, and it is tested only on a side that its bound
+        before wrapping passes: a comparison costs less than the three
+        big-int operations of an unconditional wrap. An assignment with
+        no bound (no feasible path reaches it) keeps both tests.
         """
-        arith = (isinstance(e, Unary) and e.op == "-") or (
-            isinstance(e, Binary) and e.op in ("+", "-", "*")
-        )
-        if not arith:
+        e = st.expr
+        if not is_arith(e):
             return [f"{pad}{target} = {self.wrapped(e)}"]
-        return [
-            f"{pad}{target} = {self.value(e)}",
-            f"{pad}if {target} > {_WRAP_BIAS - 1} or {target} < {-_WRAP_BIAS}:",
-            f"{pad}    {target} = {_wrap_src(target)}",
-        ]
+        bound = self.bounds.get(id(st), TOP)
+        tests = []
+        if bound.hi > I64_MAX:
+            tests.append(f"{target} > {I64_MAX}")
+        if bound.lo < I64_MIN:
+            tests.append(f"{target} < {I64_MIN}")
+        lines = [f"{pad}{target} = {self.value(e)}"]
+        if tests:
+            lines.append(f"{pad}if {' or '.join(tests)}:")
+            lines.append(f"{pad}    {target} = {_wrap_src(target)}")
+        return lines
 
 
 _DEAD = -1  # known-prev value of a path that has left the step loop
@@ -253,8 +257,8 @@ class _FoldGen(_ExprGen):
     any emitted expression still names the input parameter.
     """
 
-    def __init__(self, rename: dict, env: dict, param: str):
-        super().__init__(rename)
+    def __init__(self, rename: dict, bounds: dict, env: dict, param: str):
+        super().__init__(rename, bounds)
         self.env = env
         self.param = param
         self.reads_input = False
@@ -341,27 +345,32 @@ def _emit_body(
     on_error: "tuple[str, ...]" = _BREAK_ERROR,
     on_reject: "tuple[str, ...]" = _BREAK_REJECT,
     outputs: bool = True,
-) -> "int | None":
+) -> "tuple[int | None, int]":
     """Emit structured Python for the block subgraph from bid up to stop.
 
     The lowering only produces series-parallel DAGs, so every branch
     carries the join hint needed to rebuild if/else nesting.
 
     prev is the previous tag known at compile time on entry, or None when
-    only the runtime register `prev` holds it; the value known on exit is
-    returned (_DEAD when every path leaves the step). A known tag is
-    stored to the register only where paths with different tags join, or
-    by the caller at the end of the step.
+    only the runtime register `prev` holds it. Returns the value known on
+    exit (_DEAD when every path leaves the step) and, when the lines
+    emitted here begin with an if statement, len(lines) at its end (else
+    -1): they are exactly that statement iff it is len(lines). A known
+    tag is stored to the register only where paths with different tags
+    join, or by the caller at the end of the step.
 
     on_error and on_reject are the line templates of the two non-ok
     exits; outputs=False drops `emit` statements.
 
     A branch whose condition gen decides is replaced by its taken arm, an
     arm that emits no line is left out, and an else arm that is a single
-    if statement becomes an elif, so else-if chains add no indentation.
+    if statement becomes an elif, so else-if chains add no indentation
+    and take time linear in their length.
     """
     pad = "    " * depth
     tags = g.tags
+    start = len(lines)
+    if_end = -1  # len(lines) after an if statement that began at start
     while bid != stop:
         blk = g.block(bid)
         if bid in instrumented:
@@ -369,7 +378,7 @@ def _emit_body(
             prev = tags[bid]
         for st in blk.stmts:
             if isinstance(st, Assign):
-                lines.extend(gen.assign(gen.rename[st.name], st.expr, pad))
+                lines.extend(gen.assign(gen.rename[st.name], st, pad))
             elif outputs:
                 lines.append(f"{pad}out_append({st.value})")
         term = blk.term
@@ -377,13 +386,13 @@ def _emit_body(
             bid = term.target
             continue
         if isinstance(term, Exit):
-            if term.kind is ExitKind.OK:
+            if term.kind is not ExitKind.OK:
                 # ok-exits fall through to the step epilogue
-                return prev
-            error = term.kind is ExitKind.ERROR
-            for line in on_error if error else on_reject:
-                lines.append(pad + line.format(k=term.error_id))
-            return _DEAD
+                error = term.kind is ExitKind.ERROR
+                for line in on_error if error else on_reject:
+                    lines.append(pad + line.format(k=term.error_id))
+                prev = _DEAD
+            break
         join = term.join_id
         then_id, else_id = term.then_id, term.else_id
         known = gen.decide(term.cond)
@@ -391,16 +400,18 @@ def _emit_body(
             # the taken arm leads on to the join like any other block
             bid = then_id if known else else_id
             continue
-        arm_ids = [then_id] if else_id == join else [then_id, else_id]
-        arms = []
-        for arm_id in arm_ids:
+        # the then arm is emitted one level deeper, the else arm at this
+        # depth, so an elif takes its lines as they are
+        arms = []  # (lines, exit value, end of a leading if statement)
+        for arm_id, arm_depth in ((then_id, depth + 1), (else_id, depth)):
+            if arm_id == join:
+                break  # no else arm
             sub: "list[str]" = []
-            end = _emit_body(
-                g, instrumented, gen, sub, arm_id, join, depth + 1, prev,
+            arms.append((sub, *_emit_body(
+                g, instrumented, gen, sub, arm_id, join, arm_depth, prev,
                 on_error, on_reject, outputs,
-            )
-            arms.append((sub, end))
-        ends = [k for _, k in arms]
+            )))
+        ends = [k for _, k, _ in arms]
         if len(arms) == 1:
             ends.append(prev)  # the path that skips the single arm
         live = {k for k in ends if k != _DEAD}
@@ -408,41 +419,35 @@ def _emit_body(
             # the paths disagree: each one stores its known tag
             if len(arms) == 1 and prev is not None:
                 lines.append(f"{pad}prev = {prev}")
-            for sub, k in arms:
+            for (sub, k, _), arm_pad in zip(arms, (pad + "    ", pad)):
                 if k is not None and k != _DEAD:
-                    sub.append(f"{pad}    prev = {k}")
+                    sub.append(f"{arm_pad}prev = {k}")
             prev = None
         else:
             prev = live.pop() if live else _DEAD
-        # conditions have no effects, so an if with no arm left goes too
-        negate = len(arms) == 2 and not arms[0][0]
-        if negate:
-            arms = arms[1:]
-        if arms[0][0]:
-            lines.append(f"{pad}if {'not ' if negate else ''}{gen.truth(term.cond)}:")
-            lines.extend(arms[0][0])
-        if len(arms) == 2 and arms[1][0]:
-            orelse = arms[1][0]
-            if _single_if(orelse, pad + "    "):
-                lines.append(pad + "el" + orelse[0].lstrip())
-                lines.extend(line[4:] for line in orelse[1:])
-            else:
+        head = len(lines)
+        then = arms[0][0]
+        orelse = arms[1][0] if len(arms) == 2 else []
+        cond = gen.truth(term.cond) if then or orelse else ""
+        if then:
+            lines.append(f"{pad}if {cond}:")
+            lines.extend(then)
+        elif orelse:
+            # conditions have no effects, so an empty then arm negates
+            lines.append(f"{pad}if not {cond}:")
+        if orelse and then and arms[1][2] == len(orelse):
+            orelse[0] = pad + "el" + orelse[0][len(pad):]
+            lines.extend(orelse)
+        elif orelse:
+            if then:
                 lines.append(pad + "else:")
-                lines.extend(orelse)
+            lines.extend("    " + line for line in orelse)
+        if head == start and len(lines) > head:
+            if_end = len(lines)
         if join is None:
-            return prev
+            break
         bid = join
-    return prev
-
-
-def _single_if(lines: "list[str]", pad: str) -> bool:
-    """Whether lines, indented by pad, are exactly one if statement."""
-    if not lines or not lines[0].startswith(pad + "if "):
-        return False
-    n = len(pad)
-    return all(
-        line[n] == " " or line.startswith(("elif ", "else:"), n) for line in lines[1:]
-    )
+    return prev, if_end
 
 
 def _names(program: Program) -> "tuple[_ExprGen, str, str]":
@@ -453,7 +458,7 @@ def _names(program: Program) -> "tuple[_ExprGen, str, str]":
     rename[program.param] = "_s"
     gvars = [rename[name] for name in program.global_names()]
     unpack = "".join(v + ", " for v in gvars)
-    return _ExprGen(rename), unpack, f"({unpack})"
+    return _ExprGen(rename, assignment_bounds(program)), unpack, f"({unpack})"
 
 
 def _generate_source(program: Program, g: Cfg, instrumented: frozenset) -> str:
@@ -493,7 +498,7 @@ def _generate_source(program: Program, g: Cfg, instrumented: frozenset) -> str:
     lines.append("            end = j")
     lines.append("            tail = 2")
     lines.append("    for _s in (seq if end == n else seq[:end]):")
-    last = _emit_body(g, instrumented, gen, lines, g.entry, None, 2)
+    last, _ = _emit_body(g, instrumented, gen, lines, g.entry, None, 2)
     if last is not None and last != _DEAD:
         lines.append(f"        prev = {last}")
     lines.append(f"        v = {tuple_src}")
@@ -623,13 +628,14 @@ def compile_expand(program: Program):
     exploration.
 
     Returns (expand, classes), where classes holds, per generated body,
-    the symbols it runs for. expand(frontier, seen, append, found, cap,
-    classes) -> bool steps each state of frontier, in order, by every
-    alphabet symbol, in alphabet order:
+    the symbols it runs for. expand(frontier, seen, append, link, found,
+    cap, classes) -> bool steps each state of frontier, in order, by
+    every alphabet symbol, in alphabet order:
     - an error k not yet in found sets found[k] = (state, symbol);
     - a rejected step is a dead end;
-    - a completed step's valuation v that is not in seen is stored as
-      seen[v] = state and passed to append, while len(seen) < cap.
+    - a completed step's valuation v that is not in the set seen is
+      added to it and passed to append, and the state it was stepped
+      from to link, while len(seen) < cap.
     The result is True iff cap refused a new valuation.
 
     The alphabet is cut into input classes (_input_classes), and each
@@ -651,8 +657,9 @@ def compile_expand(program: Program):
         f"{pad}v = {tuple_src}",
         f"{pad}if v not in seen:",
         f"{pad}    if len(seen) < cap:",
-        f"{pad}        seen[v] = values",
+        f"{pad}        seen_add(v)",
         f"{pad}        append(v)",
+        f"{pad}        link(values)",
         f"{pad}    else:",
         f"{pad}        full = True",
     ]
@@ -662,9 +669,9 @@ def compile_expand(program: Program):
     merged: set = set()
     for run in _input_classes(program):
         env = dict(unknown, **{program.param: Interval(run.start, run.stop - 1)})
-        fold = _FoldGen(gen.rename, env, program.param)
+        fold = _FoldGen(gen.rename, gen.bounds, env, program.param)
         body = [f"{pad}{unpack}= values"] if unpack else []
-        end = _emit_body(
+        end, _ = _emit_body(
             g, frozenset(), fold, body, g.entry, None, 3,
             on_error=_SKIP_ERROR, on_reject=_SKIP_REJECT, outputs=False,
         )
@@ -683,8 +690,9 @@ def compile_expand(program: Program):
         bodies.append(body)
 
     lines = [
-        "def _expand(frontier, seen, append, found, cap, classes):",
+        "def _expand(frontier, seen, append, link, found, cap, classes):",
         "    full = False",
+        "    seen_add = seen.add",
     ]
     if bodies:
         lines.append("    " + "".join(f"c{j}, " for j in range(len(bodies))) + "= classes")

@@ -33,7 +33,7 @@ Comparisons yield 0/1; logical operators treat any nonzero value as true.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Union
+from typing import NamedTuple, Union
 
 I64_MIN = -(1 << 63)
 I64_MAX = (1 << 63) - 1
@@ -398,22 +398,39 @@ class _Parser:
         raise _ParseError(tok, f"expected an expression, found {tok.kind!r}")
 
 
-def walk_exprs(e: Expr) -> Iterator[Expr]:
-    """e and every subexpression of it, in preorder."""
-    yield e
+def is_arith(e: Expr) -> bool:
+    """Whether e is a sum, difference, product or negation: the nodes
+    that generated code computes without wrapping."""
+    return (isinstance(e, Unary) and e.op == "-") or (
+        isinstance(e, Binary) and e.op in ("+", "-", "*")
+    )
+
+
+def walk_exprs(e: Expr, out: "list | None" = None) -> "list[Expr]":
+    """e and every subexpression of it, in preorder, appended to out (a
+    new list by default)."""
+    if out is None:
+        out = []
+    out.append(e)
     if isinstance(e, Unary):
-        yield from walk_exprs(e.operand)
+        walk_exprs(e.operand, out)
     elif isinstance(e, Binary):
-        yield from walk_exprs(e.lhs)
-        yield from walk_exprs(e.rhs)
+        walk_exprs(e.lhs, out)
+        walk_exprs(e.rhs, out)
+    return out
 
 
-def walk_stmts(stmts) -> Iterator[Stmt]:
+def walk_stmts(stmts, out: "list | None" = None) -> "list[Stmt]":
+    """Every statement of stmts and of the arms nested in them, in
+    preorder, appended to out (a new list by default)."""
+    if out is None:
+        out = []
     for st in stmts:
-        yield st
+        out.append(st)
         if isinstance(st, If):
-            yield from walk_stmts(st.then)
-            yield from walk_stmts(st.orelse)
+            walk_stmts(st.then, out)
+            walk_stmts(st.orelse, out)
+    return out
 
 
 def _validate(lo, hi, decls, param_tok, body) -> "list[Diagnostic]":

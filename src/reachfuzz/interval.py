@@ -31,6 +31,7 @@ from .frontend import (
     Program,
     Reject,
     Unary,
+    is_arith,
     walk_exprs,
     walk_stmts,
     wrap64,
@@ -103,6 +104,7 @@ TOP = Interval(-INF, INF)
 ZERO = Interval(0, 0)
 ONE = Interval(1, 1)
 ZERO_ONE = Interval(0, 1)
+I64 = Interval(I64_MIN, I64_MAX)
 
 
 def point(v: int) -> Interval:
@@ -136,34 +138,37 @@ def _mul_bound(a, b):
     return a * b
 
 
-def iv_add(a: Interval, b: Interval) -> Interval:
+def _unwrapped(op: str, a: Interval, b: Interval) -> Interval:
+    """a op b for op in + - *, over the integers: no bound is wrapped."""
     if a.is_empty or b.is_empty:
         return EMPTY
-    return _clamp(Interval(a.lo + b.lo, a.hi + b.hi))
-
-
-def iv_sub(a: Interval, b: Interval) -> Interval:
-    if a.is_empty or b.is_empty:
-        return EMPTY
-    return _clamp(Interval(a.lo - b.hi, a.hi - b.lo))
-
-
-def iv_mul(a: Interval, b: Interval) -> Interval:
-    if a.is_empty or b.is_empty:
-        return EMPTY
+    if op == "+":
+        return Interval(a.lo + b.lo, a.hi + b.hi)
+    if op == "-":
+        return Interval(a.lo - b.hi, a.hi - b.lo)
     products = [
         _mul_bound(a.lo, b.lo),
         _mul_bound(a.lo, b.hi),
         _mul_bound(a.hi, b.lo),
         _mul_bound(a.hi, b.hi),
     ]
-    return _clamp(Interval(min(products), max(products)))
+    return Interval(min(products), max(products))
+
+
+def iv_add(a: Interval, b: Interval) -> Interval:
+    return _clamp(_unwrapped("+", a, b))
+
+
+def iv_sub(a: Interval, b: Interval) -> Interval:
+    return _clamp(_unwrapped("-", a, b))
+
+
+def iv_mul(a: Interval, b: Interval) -> Interval:
+    return _clamp(_unwrapped("*", a, b))
 
 
 def iv_neg(a: Interval) -> Interval:
-    if a.is_empty:
-        return EMPTY
-    return _clamp(Interval(-a.hi, -a.lo))
+    return _clamp(_unwrapped("-", ZERO, a))
 
 
 def _truth(iv: Interval) -> "bool | None":
@@ -328,11 +333,18 @@ def _join_env(a: "dict | None", b: "dict | None") -> "dict | None":
     return {k: a[k].join(b[k]) for k in a}
 
 
-def abstract_step(program: Program, global_env: dict, input_iv: Interval) -> "dict | None":
+def abstract_step(
+    program: Program, global_env: dict, input_iv: Interval, bounds: "dict | None" = None
+) -> "dict | None":
     """Abstract one step invocation; None when every path leaves the run.
 
     Paths ending in error/reject never reach a step boundary, so they
     contribute no state.
+
+    With a dict bounds, the walk follows generated code: each arithmetic
+    Assign st it reaches records bounds[id(st)], the bounds of its value
+    before wrapping (eval_unwrapped), and stores their wrapped image,
+    which is I64 when a bound wider than a point escapes the range.
     """
 
     def run_block(stmts, env: "dict | None") -> "dict | None":
@@ -340,8 +352,13 @@ def abstract_step(program: Program, global_env: dict, input_iv: Interval) -> "di
             return None
         for st in stmts:
             if isinstance(st, Assign):
+                if bounds is not None and is_arith(st.expr):
+                    bound = bounds[id(st)] = eval_unwrapped(st.expr, env)
+                    value = _clamp(bound).meet(I64)
+                else:
+                    value = eval_abs(st.expr, env)
                 env = dict(env)
-                env[st.name] = eval_abs(st.expr, env)
+                env[st.name] = value
             elif isinstance(st, Emit):
                 continue
             elif isinstance(st, (ErrorStmt, Reject)):
@@ -364,6 +381,36 @@ def abstract_step(program: Program, global_env: dict, input_iv: Interval) -> "di
     return {name: out[name] for name in program.global_names()}
 
 
+def eval_unwrapped(e, env: dict) -> Interval:
+    """Bounds of the value that generated code computes for the
+    arithmetic expression e before it wraps it: sums, differences,
+    products and negations over the integers, every other operand at its
+    eval_abs bound. Recurses no deeper than eval_abs."""
+    if isinstance(e, Unary):
+        x = e.operand
+        return _unwrapped("-", ZERO, eval_unwrapped(x, env) if is_arith(x) else eval_abs(x, env))
+    lhs = eval_unwrapped(e.lhs, env) if is_arith(e.lhs) else eval_abs(e.lhs, env)
+    rhs = eval_unwrapped(e.rhs, env) if is_arith(e.rhs) else eval_abs(e.rhs, env)
+    return _unwrapped(e.op, lhs, rhs)
+
+
+def assignment_bounds(program: Program) -> dict:
+    """id of each arithmetic Assign -> bounds of its value before
+    wrapping, over one step from any valuation.
+
+    abstract_step walks the step once, with every global at I64 and the
+    input at the alphabet interval. Every bound stays finite: infinite
+    endpoints would claim that no value overflows, which is the fixpoint
+    convention of analyze and not sound here. An Assign that no feasible
+    path reaches has no entry. Keys are ids because equal Assign nodes
+    in different places are equal values.
+    """
+    bounds: dict = {}
+    env = dict.fromkeys(program.global_names(), I64)
+    abstract_step(program, env, Interval(program.alphabet_lo, program.alphabet_hi), bounds)
+    return bounds
+
+
 @dataclass(frozen=True)
 class IntervalSummary:
     global_bounds: dict  # variable name -> post-fixpoint Interval
@@ -372,20 +419,34 @@ class IntervalSummary:
 
 
 def _collect_input_constants(program: Program) -> frozenset:
-    """Every literal compared with an expression that names the input."""
+    """Every literal compared with an expression that names the input.
 
-    def names_input(e) -> bool:
-        return any(isinstance(n, Name) and n.ident == program.param for n in walk_exprs(e))
-
+    Each expression is walked once: in reverse preorder every operand
+    comes before the node that holds it, so whether a node names the
+    input follows from its operands.
+    """
+    param = program.param
     consts = set()
     for st in walk_stmts(program.body):
         if not isinstance(st, (Assign, If)):
             continue
-        for e in walk_exprs(st.expr if isinstance(st, Assign) else st.cond):
-            if isinstance(e, Binary) and e.op in _CMP_OPS:
-                for lit, other in ((e.lhs, e.rhs), (e.rhs, e.lhs)):
-                    if isinstance(lit, IntLit) and names_input(other):
-                        consts.add(lit.value)
+        reads: set = set()  # ids of the nodes that name the input
+        for e in reversed(walk_exprs(st.expr if isinstance(st, Assign) else st.cond)):
+            if isinstance(e, Name):
+                if e.ident == param:
+                    reads.add(id(e))
+            elif isinstance(e, Unary):
+                if id(e.operand) in reads:
+                    reads.add(id(e))
+            elif isinstance(e, Binary):
+                lhs, rhs = id(e.lhs) in reads, id(e.rhs) in reads
+                if lhs or rhs:
+                    reads.add(id(e))
+                if e.op in _CMP_OPS:
+                    if rhs and isinstance(e.lhs, IntLit):
+                        consts.add(e.lhs.value)
+                    if lhs and isinstance(e.rhs, IntLit):
+                        consts.add(e.rhs.value)
     return frozenset(consts)
 
 

@@ -4,11 +4,12 @@ Ground truth for small programs: states are exact global valuations
 (collision-free, unlike the fuzzer's hashed maps), and transitions come
 from the same code generator as the campaign target. The expander cuts
 the alphabet into input classes and folds the step body once per class,
-and one generated call expands a whole BFS level. Each state keeps one
-reference, to the state it was first reached from. Witnesses are rebuilt
-afterwards by re-expanding those parents, and BFS order makes every one
-a shortest one. Caps turn exhaustion into an honest complete=False
-instead of an error.
+and one generated call expands a whole BFS level. The visited states
+are a set; each level lists its new states and, at the same index, the
+state each was first reached from. Witnesses are rebuilt afterwards by
+re-expanding those parents, and BFS order makes every one a shortest
+one. Caps turn exhaustion into an honest complete=False instead of an
+error.
 """
 
 from __future__ import annotations
@@ -37,31 +38,33 @@ def bfs_reachability(
     """Explore every reachable valuation, level by level, expanding each
     level by every alphabet symbol in one generated call.
 
-    parents maps each state to the state it was first reached from (None
-    for the initial one), the only memory kept per state. Each error id
-    keeps the first (state, symbol) that reached it in BFS order, and its
-    witness is rebuilt by walking parents back to the initial state.
-    Rejected steps are dead ends. complete is True iff the frontier was
-    exhausted under both caps with no expansion skipped.
+    seen is the set of valuations met so far. Each level keeps two
+    parallel lists: its new states, and at the same index the state each
+    was first reached from, the only memory kept per state besides seen.
+    Each error id keeps the first (state, symbol) that reached it in BFS
+    order, and its witness is rebuilt by walking those lists back to the
+    initial state. Rejected steps are dead ends. complete is True iff the
+    frontier was exhausted under both caps with no expansion skipped.
     """
     expand, classes = compile_expand(program)
     error_ids = list_error_ids(program)
     initial = program.initial_values()
 
-    parents: dict = {initial: None}  # doubles as the visited set
+    seen = {initial}
+    levels = [([initial], [None])]  # per level: (states, their parents)
     found: dict = {}  # error id -> (state, symbol)
-    frontier = [initial]
+    found_ends = []  # per expanded level: len(found) after it
     complete = True
-    level = 0
-    while frontier:
-        if level >= depth_cap:
+    while levels[-1][0]:
+        if len(levels) > depth_cap:
             complete = False
             break
-        level_states: list = []
-        if expand(frontier, parents, level_states.append, found, state_cap, classes):
+        states: list = []
+        parents: list = []
+        if expand(levels[-1][0], seen, states.append, parents.append, found, state_cap, classes):
             complete = False
-        frontier = level_states
-        level += 1
+        found_ends.append(len(found))
+        levels.append((states, parents))
 
     if not set(found) <= error_ids:
         raise RuntimeError(f"undeclared error ids {sorted(set(found) - error_ids)}")
@@ -76,21 +79,29 @@ def bfs_reachability(
         for j, symbols in enumerate(classes):
             for sym in symbols:
                 reached: list = []
-                expand((parent,), {}, reached.append, {}, 1, none[:j] + ((sym,),) + none[j + 1:])
+                expand(
+                    (parent,), set(), reached.append, [].append, {}, 1,
+                    none[:j] + ((sym,),) + none[j + 1:],
+                )
                 if reached == [child]:
                     return sym
         raise AssertionError("parent does not step to child")
 
     reachable: dict = {}
-    for k, (state, sym) in found.items():
+    level = 0
+    for i, (k, (state, sym)) in enumerate(found.items()):
+        while found_ends[level] <= i:
+            level += 1
         symbols = [sym]
-        parent = parents[state]
-        while parent is not None:
+        for states, parents in reversed(levels[1:level + 1]):
+            # the state is the very object stored in its level's list,
+            # and index tests identity before it compares two tuples
+            parent = parents[states.index(state)]
             symbols.append(hop(parent, state))
-            state, parent = parent, parents[parent]
+            state = parent
         reachable[k] = tuple(reversed(symbols))
     return OracleResult(
         reachable=reachable,
-        explored_states=len(parents),
+        explored_states=len(seen),
         complete=complete,
     )

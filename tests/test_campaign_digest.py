@@ -28,8 +28,16 @@ def test_digest_repeats_and_follows_the_budget():
     assert plans == first[1]
 
 
+def test_oracle_digest_repeats_and_follows_the_cap():
+    first = campaign_digest.oracle_digest([(t, 10**6) for t in PROGRAMS])
+    assert campaign_digest.oracle_digest([(t, 10**6) for t in PROGRAMS]) == first
+    # the counter program has more than 2 reachable states
+    assert campaign_digest.oracle_digest([(t, 2) for t in PROGRAMS]) != first
+
+
 def test_programs_come_from_the_benchmark():
     programs, seed = campaign_digest.benchmark_programs()
     assert seed == 42
     assert len(programs) == 70
-    assert sorted({budget for _, budget in programs}) == [500, 8000, 10_000]
+    assert sorted({budget for _, budget, _ in programs}) == [500, 8000, 10_000]
+    assert sorted({cap for _, _, cap in programs}) == [10**6, 1_500_000]

@@ -112,7 +112,7 @@ def test_branch_pairs_straight_line():
     assert len(g.edges()) == 1
 
 
-def test_empty_branch_arms_single_successor():
+def test_empty_branch_arms_two_distinct_successors():
     # the then-block is always a fresh block, even for empty arms, so a
     # branch has two distinct successors and no path repeats
     for body in ("if (in == 1) {} else {}", "if (in == 1) {}"):

@@ -6,6 +6,7 @@ import struct
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from reachfuzz import executor
 from reachfuzz.cfg import Branch, ExitKind, Jump, assign_block_tags, build_cfg
 from reachfuzz.executor import (
     DEFAULT_MAX_STEPS,
@@ -13,13 +14,14 @@ from reachfuzz.executor import (
     ExecResult,
     GlobalMaps,
     classify_counts,
+    compile_expand,
     compile_step,
     compile_target,
     run,
     state_entry,
     state_key,
 )
-from reachfuzz.frontend import Assign, eval_expr, parse_or_raise, reference_step
+from reachfuzz.frontend import I64_MAX, Assign, eval_expr, parse_or_raise, reference_step
 from reachfuzz.gen import generate_program
 from reachfuzz.instrument import InstrumentationPlan, project_trace, select_instrumentation
 
@@ -468,3 +470,124 @@ def test_replay_determinism(seed, rnd):
     assert (a.status, a.error_id, a.steps, a.final_values, a.state_keys) == (
         b.status, b.error_id, b.steps, b.final_values, b.state_keys)
     assert bytes(a.counts) == bytes(b.counts)
+
+
+M = I64_MAX
+
+# A program for each case of the wrap tests after an arithmetic
+# assignment. Random runs of them reach values near the ends of the range.
+WRAP_PROGRAMS = {
+    # one-sided guards at the i64 limits: the top test only
+    "guard-top": (
+        f"inputs 1..3; var a = 0; step(in){{ if (in == 1) {{ a = a - 3; }} "
+        f"if (in == 2) {{ a = a + 2; }} if (a < {M}) {{ a = a + {M}; }} "
+        "if (a > 0) { a = a * 3; } }"
+    ),
+    # the bottom test only
+    "guard-bottom": (
+        f"inputs 1..3; var a = 0; step(in){{ if (in == 1) {{ a = a + 7; }} "
+        f"if (in == 2) {{ a = a * 5; }} if (a < 5) {{ a = a - {M}; }} }}"
+    ),
+    # a guard on an expression refines nothing: the bottom test stays
+    "expression-guard": (
+        f"inputs 1..2; var a = -{M}; step(in){{ if (0 + a < 5) {{ a = a - 1; }} "
+        "if (in == 2) { a = 3; } }"
+    ),
+    # the sum leaves the range above and the difference brings it back
+    # from below, both by wrapping
+    "leave-and-reenter": (
+        f"inputs 1..2; var a = 1; step(in){{ if (a > 0) {{ a = a + {M}; a = a - {M}; }} "
+        "if (in == 2) { a = a * 3; } }"
+    ),
+    # a constant sum that escapes the range: a point that wraps, alone
+    # and as an operand
+    "escaping-constant": (
+        f"inputs 1..2; var c = 0; var d = 0; step(in){{ c = {M} + 1; "
+        f"if (in == 2) {{ c = c - 1; }} d = ({M} + 1) - d; }}"
+    ),
+    # unguarded doubling passes both ends over 64 steps
+    "unguarded-double": (
+        "inputs 1..2; var v = 1; var w = -1; step(in){ v = v * 2; if (in == 2) { w = w * 2; } }"
+    ),
+    # equal assignments in different places get their own tests
+    "equal-assignments": (
+        f"inputs 1..2; var a = 0; step(in){{ if (in == 2) {{ a = -{M}; }} "
+        "if (a < 0) { a = a - 1; } else { a = a - 1; } }"
+    ),
+    # arms that no input reaches keep both tests
+    "dead-arms": (
+        "inputs 1..3; var a = 0; step(in){ if (in > 5) { a = a + 1; } "
+        "if (a < 0) { if (a > 3) { a = a * 7; } } a = a + in; if (a > 100) { a = 0 - a; } }"
+    ),
+}
+
+
+def wrap_tests(monkeypatch, text: str) -> "list[str]":
+    """The wrap test after each arithmetic assignment of compile_step's
+    source, in order: "top", "bottom", "both" or "none"."""
+    sources = []
+    monkeypatch.setattr(executor, "_compile", lambda source, *args: sources.append(source))
+    compile_step(parse_or_raise(text))
+    monkeypatch.undo()
+    lines = sources[0].splitlines() + [""]
+    sides = []
+    for line, nxt in zip(lines, lines[1:]):
+        # an arithmetic value is parenthesised; its wrap starts with "((("
+        if line.lstrip().startswith("_g") and " = (" in line and " = (((" not in line:
+            key = (f"> {M}" in nxt, f"< {-M - 1}" in nxt)
+            sides.append({(1, 1): "both", (1, 0): "top", (0, 1): "bottom"}.get(key, "none"))
+    return sides
+
+
+def test_wrap_tests_only_where_the_bound_escapes(monkeypatch):
+    want = {
+        "guard-top": ["bottom", "top", "top", "top"],
+        "guard-bottom": ["top", "both", "bottom"],
+        "expression-guard": ["bottom"],
+        "leave-and-reenter": ["top", "bottom", "both"],
+        "escaping-constant": ["top", "bottom", "top"],
+        "unguarded-double": ["both", "both"],
+        "equal-assignments": ["bottom", "none"],
+        # the two dead arms, then a + in, then 0 - a under a > 100
+        "dead-arms": ["both", "both", "top", "none"],
+    }
+    for name, text in WRAP_PROGRAMS.items():
+        assert wrap_tests(monkeypatch, text) == want[name], name
+    # a guarded counter needs no test
+    assert wrap_tests(
+        monkeypatch, "inputs 1..2; var c = 0; step(in){ if (c < 9) { c = c + 1; } }"
+    ) == ["none"]
+
+
+def test_wrap_tests_agree_with_reference_step():
+    """The campaign target, compile_step and the oracle's expander
+    against the AST interpreter, on every state of long random runs."""
+    near_limits = set()
+    for name, text in WRAP_PROGRAMS.items():
+        p, g, plan = build(text)
+        target = compile_target(p, g, plan)
+        step = compile_step(p)
+        expand, classes = compile_expand(p)
+        rnd = random.Random(name)
+        for _ in range(6):
+            seq = [rnd.randint(p.alphabet_lo, p.alphabet_hi) for _ in range(80)]
+            values, keys = p.initial_values(), []
+            for sym in seq:
+                want = []
+                for other in p.alphabet():
+                    status, _err, nxt, _outs = reference_step(p, values, other)
+                    assert status == "ok"
+                    assert step(values, other) == (0, -1, tuple(nxt)), (name, values, other)
+                    if tuple(nxt) not in want:
+                        want.append(tuple(nxt))
+                reached, parents, seen = [], [], set()
+                assert expand([values], seen, reached.append, parents.append, {}, 10**9, classes) is False
+                assert reached == want, (name, values)
+                values = tuple(reference_step(p, values, sym)[2])
+                keys.append(state_key(values))
+                if any(abs(v) > 2**62 for v in values):
+                    near_limits.add(name)
+            r = target.run(seq)
+            assert (r.status, r.steps, r.final_values) == ("ok", len(seq), values), name
+            assert r.state_keys == tuple(keys), name
+    assert near_limits == set(WRAP_PROGRAMS) - {"dead-arms"}

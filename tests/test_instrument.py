@@ -111,7 +111,7 @@ def test_reconstruct_ambiguous_projection():
     assert not adequate_over(iter_paths(g), s)
 
 
-def test_certificate_reports_path_count():
+def test_certificate_reports_branch_count():
     g = build_cfg(parse_or_raise(DIAMOND))
     plan = select_instrumentation(g)
     assert plan.adequacy_certificate == "entry and the then-block of each of 1 branches"

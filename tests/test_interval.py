@@ -5,7 +5,7 @@ import random
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from reachfuzz.frontend import parse_or_raise, reference_step
+from reachfuzz.frontend import I64_MAX, I64_MIN, Assign, parse_or_raise, reference_step, walk_stmts
 from reachfuzz.gen import generate_program
 from reachfuzz.interval import (
     EMPTY,
@@ -14,6 +14,7 @@ from reachfuzz.interval import (
     Interval,
     abstract_step,
     analyze,
+    assignment_bounds,
     eval_abs,
     input_value_pool,
     iv_add,
@@ -241,3 +242,36 @@ def test_bounds_sound_long_adversarial_run():
             continue
         for name, v in zip(names, values):
             assert covers(bounds[name], v)
+
+
+def bounds_in_order(text: str) -> list:
+    """assignment_bounds of a program, one entry per Assign in preorder
+    (None for an Assign without a bound)."""
+    p = parse_or_raise(text)
+    bounds = assignment_bounds(p)
+    return [bounds.get(id(st)) for st in walk_stmts(p.body) if isinstance(st, Assign)]
+
+
+def test_assignment_bounds_are_unwrapped_and_per_node():
+    M = I64_MAX
+    # equal Assign nodes under opposite guards keep their own bounds
+    assert bounds_in_order(
+        "inputs 1..2; var a = 0; step(in){ if (a < 5) { a = a + 1; } else { a = a + 1; } }"
+    ) == [Interval(I64_MIN + 1, 5), Interval(6, M + 1)]
+    # an escaping constant keeps its value before wrapping, and the
+    # next assignment starts from the wrapped point
+    assert bounds_in_order(f"inputs 1..2; var c = 0; step(in){{ c = {M} + 1; c = c - 1; }}") == [
+        Interval(M + 1, M + 1),
+        Interval(I64_MIN - 1, I64_MIN - 1),
+    ]
+    # every global starts anywhere in range, the input at the alphabet;
+    # a sum that may leave the range stores the whole range
+    assert bounds_in_order("inputs 2..3; var a = 0; step(in){ a = a * in; a = a + 0; }") == [
+        Interval(3 * I64_MIN, 3 * M),
+        Interval(I64_MIN, M),
+    ]
+    # an unreachable arm has no bound; a guard on an expression
+    # refines nothing
+    assert bounds_in_order(
+        "inputs 1..3; var a = 0; step(in){ if (in > 5) { a = a + 1; } if (0 + a < 5) { a = a - 1; } }"
+    ) == [None, Interval(I64_MIN - 1, M - 1)]

@@ -256,10 +256,12 @@ def expand_state(expand, values, classes):
     """Expand one state under an unlimited cap: the new states in the
     order they were appended, and found."""
     reached: list = []
-    seen: dict = {}
+    parents: list = []
+    seen: set = set()
     found: dict = {}
-    assert expand([values], seen, reached.append, found, 10**9, classes) is False
-    assert seen == dict.fromkeys(reached, values)
+    assert expand([values], seen, reached.append, parents.append, found, 10**9, classes) is False
+    assert seen == set(reached)
+    assert parents == [values] * len(reached)
     return reached, found
 
 
@@ -349,26 +351,27 @@ def test_fold_drops_decided_operands():
         (1, 4): "(((_s < 3) and (_g0 == 0)) or ((_s == 4) and (_g0 == 1)))",
     }.items():
         env = {"a": TOP, "in": Interval(lo, hi)}
-        assert _FoldGen({"a": "_g0", "in": "_s"}, env, "in").truth(cond) == want
+        assert _FoldGen({"a": "_g0", "in": "_s"}, {}, env, "in").truth(cond) == want
 
 
 def test_expander_reports_a_refused_state():
     p = parse_or_raise("inputs 1..2; var a = 0; step(in){ a = in; }")
     expand, classes = compile_expand(p)
     reached: list = []
-    seen = {(0,): None, (1,): (0,)}
+    parents: list = []
+    seen = {(0,), (1,)}
     # (1,) is known, (2,) is new and the cap refuses it
-    assert expand([(0,)], seen, reached.append, {}, 2, classes) is True
-    assert reached == [] and len(seen) == 2
-    assert expand([(0,), (1,)], seen, reached.append, {}, 3, classes) is False
-    assert reached == [(2,)] and seen[(2,)] == (0,)
+    assert expand([(0,)], seen, reached.append, parents.append, {}, 2, classes) is True
+    assert reached == [] and parents == [] and seen == {(0,), (1,)}
+    assert expand([(0,), (1,)], seen, reached.append, parents.append, {}, 3, classes) is False
+    assert reached == [(2,)] and parents == [(0,)] and seen == {(0,), (1,), (2,)}
 
 
 def test_undeclared_error_id_raises(monkeypatch):
     p = parse_or_raise(TOGGLE)
 
     def fake_compile_expand(program):
-        def expand(frontier, seen, append, found, cap, classes):
+        def expand(frontier, seen, append, link, found, cap, classes):
             found.setdefault(99, (frontier[0], classes[0][0]))
             return False
 
@@ -436,11 +439,10 @@ def test_else_if_chain_of_150_arms():
         assert reference_step(p, p.initial_values(), witness[0])[:2] == ("error", k)
 
 
-def test_else_if_chain_of_500_arms_fuzzes():
-    """Instrumentation planning does not grow with the arm count: a
-    500-arm chain sets up and fuzzes, and every witness replays to its
-    error through the AST interpreter."""
-    p = parse_or_raise(else_if_chain(500))
+def fuzzes_to_replayed_errors(arms: int) -> None:
+    """An arms-long else-if chain sets up and fuzzes, and every witness
+    replays to its error through the AST interpreter."""
+    p = parse_or_raise(else_if_chain(arms))
     c = init_campaign(p, seed=1)
     result = fuzz_loop(c, max_execs=2000)
     assert result.errors
@@ -451,3 +453,14 @@ def test_else_if_chain_of_500_arms_fuzzes():
             if status != "ok":
                 break
         assert (status, err) == ("error", k)
+
+
+def test_else_if_chain_of_500_arms_fuzzes():
+    """Instrumentation planning does not grow with the arm count."""
+    fuzzes_to_replayed_errors(500)
+
+
+def test_else_if_chain_of_900_arms_fuzzes():
+    """elif flattening takes time linear in the arm count; re-indenting
+    the nested arms at every level made it quadratic."""
+    fuzzes_to_replayed_errors(900)
