@@ -28,7 +28,7 @@ import hashlib
 import sys
 from pathlib import Path
 
-from reachfuzz.executor import _generate_source
+from reachfuzz import executor
 from reachfuzz.frontend import parse_or_raise
 from reachfuzz.fuzzer import FuzzConfig, baseline_config, fuzz_loop, init_campaign
 from reachfuzz.gen import generate_source
@@ -56,12 +56,26 @@ def benchmark_programs() -> "tuple[list[tuple[str, int, int]], int]":
 
 def digests(programs, seed: int) -> "tuple[str, str]":
     """(campaign digest, plan digest) over programs, a list of (program
-    text, budget), each fuzzed under both configs with fuzzer seed seed."""
+    text, budget), each fuzzed under both configs with fuzzer seed seed.
+    The target source is the one `init_campaign` hands to
+    `executor._compile`."""
     campaigns, plans = hashlib.sha1(), hashlib.sha1()
+    compile_source = executor._compile
+    sources = []
+
+    def capture(source, *args):
+        sources.append(source)
+        return compile_source(source, *args)
+
     for text, budget in programs:
         program = parse_or_raise(text)
         for config in (FuzzConfig(), baseline_config()):
-            c = init_campaign(program, config, seed=seed)
+            sources.clear()
+            executor._compile = capture
+            try:
+                c = init_campaign(program, config, seed=seed)
+            finally:
+                executor._compile = compile_source
             fuzz_loop(c, max_execs=budget)
             record = (
                 [(t.input, t.parent, t.new_branch, t.new_state, t.exec_index) for t in c.queue],
@@ -72,7 +86,7 @@ def digests(programs, seed: int) -> "tuple[str, str]":
                 c.execs,
             )
             campaigns.update(repr(record).encode() + b"\n")
-            source = _generate_source(program, c.cfg, c.plan.instrumented)
+            (source,) = sources
             plans.update(repr((sorted(c.plan.instrumented), source)).encode() + b"\n")
     return campaigns.hexdigest(), plans.hexdigest()
 

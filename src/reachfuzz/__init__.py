@@ -27,8 +27,6 @@ from .executor import (
     ExecResult,
     GlobalMaps,
     NoveltyReport,
-    classify_counts,
-    compile_step,
     compile_target,
     run,
     state_key,
@@ -95,8 +93,6 @@ __all__ = [
     "baseline_config",
     "bfs_reachability",
     "build_cfg",
-    "classify_counts",
-    "compile_step",
     "compile_target",
     "count_paths",
     "dump_cfg",

@@ -12,8 +12,8 @@ import sys
 from pathlib import Path
 
 from .cfg import CapacityError, assign_block_tags, build_cfg, count_paths, dump_cfg
-from .executor import DEFAULT_MAX_STEPS, STATUS_BY_CODE, GlobalMaps, compile_step, run
-from .frontend import Program, list_error_ids, parse_program
+from .executor import DEFAULT_MAX_STEPS, GlobalMaps, run
+from .frontend import Program, list_error_ids, parse_program, reference_step
 from .fuzzer import (
     FuzzConfig,
     baseline_config,
@@ -172,16 +172,16 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _replay_status(program: Program, step, seq) -> "tuple[str, int | None]":
+def _replay_status(program: Program, seq) -> "tuple[str, int | None]":
     """Status and error id that the campaign target reports for seq, found
-    by uninstrumented steps from the initial valuation."""
+    by the AST interpreter from the initial valuation."""
     values = program.initial_values()
     for sym in seq[:DEFAULT_MAX_STEPS]:
-        code, error_id, values = step(values, sym)
-        if code:
-            return STATUS_BY_CODE[code], error_id if code == 1 else None
-    # code 3 (step_limit): the target stops a sequence longer than the bound
-    return STATUS_BY_CODE[3 if len(seq) > DEFAULT_MAX_STEPS else 0], None
+        status, error_id, values, _ = reference_step(program, values, sym)
+        if status != "ok":
+            return status, error_id
+    # the target stops a sequence longer than the bound
+    return "step_limit" if len(seq) > DEFAULT_MAX_STEPS else "ok", None
 
 
 def _witnesses(stats) -> "dict[int, tuple[int, ...]]":
@@ -221,9 +221,8 @@ def cmd_report(args) -> int:
     except (ValueError, RecursionError) as exc:
         print(f"malformed {stats_path}: {exc}", file=sys.stderr)
         return 2
-    step = compile_step(program)
     for k, witness in sorted(found.items()):
-        status, error_id = _replay_status(program, step, witness)
+        status, error_id = _replay_status(program, witness)
         if status != "error" or error_id != k:
             print(
                 f"witness for error {k} does not replay (got {status}/{error_id})",

@@ -7,10 +7,11 @@ saturating hit counts, classified into logarithmic buckets) and a
 after each completed step. The previous-tag register persists across
 steps within one run, so branch pairs capture cross-step sequencing.
 
-One code generator turns the step body into Python: the campaign target
-(program + plan + tags, instrumented), an uninstrumented single step
-(compile_step) and the oracle's whole-level expander (compile_expand).
-The test suite checks them against the AST reference interpreter.
+One code generator, _emit_body, turns the step body into Python in two
+places: the campaign target (program + plan + tags, instrumented) and
+the oracle's uninstrumented whole-level expander (compile_expand). The
+test suite checks both against the AST reference interpreter,
+frontend.reference_step, which also replays witnesses for `report`.
 """
 
 from __future__ import annotations
@@ -33,21 +34,10 @@ FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 _U64 = (1 << 64) - 1
 
-STATUS_OK = "ok"
-STATUS_ERROR = "error"
-STATUS_INVALID = "invalid_input"
-STATUS_STEP_LIMIT = "step_limit"
-STATUS_BY_CODE = (STATUS_OK, STATUS_ERROR, STATUS_INVALID, STATUS_STEP_LIMIT)
-
 
 # hit count -> bucket bit: 0, 1, 2, 3, 4-7, 8-15, 16-31, 32-127, 128-255
 BUCKET_LUT = bytes([0, 1, 2, 4] + [8] * 4 + [16] * 8 + [32] * 16 + [64] * 96 + [128] * 128)
 _BUCKETS = list(BUCKET_LUT)  # a list indexes faster than bytes on the hot path
-
-
-def classify_counts(raw: int) -> int:
-    """Bucket bitmask for a raw hit count (0, 1, 2, 3, 4-7, ... 128-255)."""
-    return BUCKET_LUT[raw]
 
 
 def state_key(values) -> int:
@@ -324,11 +314,10 @@ def _probe(lines: "list[str]", pad: str, prev: "int | None", tag: int) -> None:
 
 
 # Non-ok exit templates, one source line each, formatted with the error
-# id k. The campaign target and compile_step leave their step loop with a
-# status code; the oracle's expander records the error and moves on to
-# the next symbol.
-_BREAK_ERROR = ("st = 1", "err = {k}", "break")
-_BREAK_REJECT = ("st = 2", "break")
+# id k. The campaign target leaves its step loop with a status word; the
+# oracle's expander records the error and moves on to the next symbol.
+_BREAK_ERROR = ("st = 'error'", "err = {k}", "break")
+_BREAK_REJECT = ("st = 'invalid_input'", "break")
 _SKIP_ERROR = ("if {k} not in found:", "    found[{k}] = (values, _s)", "continue")
 _SKIP_REJECT = ("continue",)
 
@@ -461,65 +450,15 @@ def _names(program: Program) -> "tuple[_ExprGen, str, str]":
     return _ExprGen(rename, assignment_bounds(program)), unpack, f"({unpack})"
 
 
-def _generate_source(program: Program, g: Cfg, instrumented: frozenset) -> str:
-    """Source of the campaign target.
-
-    The valid prefix of the input is found before the step loop: C-level
-    min/max settle the usual all-valid case, so steps carry no bounds or
-    step-limit checks, and the loop's else clause sets the status the
-    prefix ended on.
-    """
-    gen, _, tuple_src = _names(program)
-    lo, hi = program.alphabet_lo, program.alphabet_hi
-
-    lines = [
-        "def _target(seq, max_steps, m, t, sk, kc, out, _fnv=state_key, _entry=state_entry):",
-    ]
-    for (name, init) in program.globals:
-        lines.append(f"    {gen.rename[name]} = {init}")
-    lines.append(f"    prev = {g.tags[g.entry]}")
-    lines.append("    err = -1")
-    lines.append("    t_append = t.append")
-    lines.append("    sk_append = sk.append")
-    lines.append("    out_append = out.append")
-    lines.append("    base = len(sk)")
-    lines.append("    seq = tuple(seq)")
-    lines.append("    n = len(seq)")
-    lines.append("    end = n")
-    lines.append("    tail = 0")
-    lines.append("    if n > max_steps:")
-    lines.append("        end = max_steps if max_steps > 0 else 0")
-    lines.append("        tail = 3")
-    lines.append(f"    if n and (min(seq) < {lo} or max(seq) > {hi}):")
-    lines.append("        j = 0")
-    lines.append(f"        while j < end and {lo} <= seq[j] <= {hi}:")
-    lines.append("            j += 1")
-    lines.append("        if j < end:")
-    lines.append("            end = j")
-    lines.append("            tail = 2")
-    lines.append("    for _s in (seq if end == n else seq[:end]):")
-    last, _ = _emit_body(g, instrumented, gen, lines, g.entry, None, 2)
-    if last is not None and last != _DEAD:
-        lines.append(f"        prev = {last}")
-    lines.append(f"        v = {tuple_src}")
-    lines.append("        try:")
-    lines.append("            sk_append(kc[v])")
-    lines.append("        except KeyError:")
-    lines.append("            kc[v] = e = _entry(_fnv(v))")
-    lines.append("            sk_append(e)")
-    lines.append("    else:")
-    lines.append("        st = tail")
-    lines.append(f"    return st, err, len(sk) - base, {tuple_src}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class CompiledTarget:
     """A program + plan + tag table compiled to a Python function.
 
     fn(seq, max_steps, counts, touched, state_entries, key_cache, outputs)
-    -> (status_code, error_id, steps, final_values); callers own the
-    buffers, so campaign loops can reuse scratch storage across runs.
+    -> (status, error_id, steps, final_values), with status one of "ok",
+    "error", "invalid_input", "step_limit" and error_id None unless it is
+    "error"; callers own the buffers, so campaign loops can reuse scratch
+    storage across runs.
     counts is a list of MAP_SIZE ints that the run leaves zero outside
     touched; its hit counts are not saturated (a list index costs less
     than a bytearray one), so readers clamp them at 255.
@@ -535,15 +474,15 @@ class CompiledTarget:
         touched: "list[int]" = []
         entries: "list[tuple[int, int, int]]" = []
         outputs: "list[int]" = []
-        code, err, steps, final = self.fn(
+        status, err, steps, final = self.fn(
             input_seq, max_steps, hits, touched, entries, self.key_cache, outputs
         )
         counts = bytearray(MAP_SIZE)
         for i in touched:
             counts[i] = min(hits[i], 255)
         return ExecResult(
-            status=STATUS_BY_CODE[code],
-            error_id=err if code == 1 else None,
+            status=status,
+            error_id=err,
             steps=steps,
             counts=counts,
             touched=tuple(touched),
@@ -571,9 +510,59 @@ def _nesting_limit(generator):
 
 @_nesting_limit
 def compile_target(program: Program, g: Cfg, plan: InstrumentationPlan) -> CompiledTarget:
+    """The campaign target.
+
+    The valid prefix of the input is found before the step loop: C-level
+    min/max settle the usual all-valid case, so steps carry no bounds or
+    step-limit checks, and the loop's else clause sets the status the
+    prefix ended on. The source is generated here, not in a helper, so
+    that an else-if chain recurses through _emit_body from the same call
+    depth as in compile_expand.
+    """
     if g.tags is None:
         raise ValueError("cfg carries no tag table")
-    source = _generate_source(program, g, plan.instrumented)
+    gen, _, tuple_src = _names(program)
+    lo, hi = program.alphabet_lo, program.alphabet_hi
+
+    lines = [
+        "def _target(seq, max_steps, m, t, sk, kc, out, _fnv=state_key, _entry=state_entry):",
+    ]
+    for (name, init) in program.globals:
+        lines.append(f"    {gen.rename[name]} = {init}")
+    lines.append(f"    prev = {g.tags[g.entry]}")
+    lines.append("    err = None")
+    lines.append("    t_append = t.append")
+    lines.append("    sk_append = sk.append")
+    lines.append("    out_append = out.append")
+    lines.append("    base = len(sk)")
+    lines.append("    seq = tuple(seq)")
+    lines.append("    n = len(seq)")
+    lines.append("    end = n")
+    lines.append("    tail = 'ok'")
+    lines.append("    if n > max_steps:")
+    lines.append("        end = max_steps if max_steps > 0 else 0")
+    lines.append("        tail = 'step_limit'")
+    lines.append(f"    if n and (min(seq) < {lo} or max(seq) > {hi}):")
+    lines.append("        j = 0")
+    lines.append(f"        while j < end and {lo} <= seq[j] <= {hi}:")
+    lines.append("            j += 1")
+    lines.append("        if j < end:")
+    lines.append("            end = j")
+    lines.append("            tail = 'invalid_input'")
+    lines.append("    for _s in (seq if end == n else seq[:end]):")
+    last, _ = _emit_body(g, plan.instrumented, gen, lines, g.entry, None, 2)
+    if last is not None and last != _DEAD:
+        lines.append(f"        prev = {last}")
+    lines.append(f"        v = {tuple_src}")
+    lines.append("        try:")
+    lines.append("            sk_append(kc[v])")
+    lines.append("        except KeyError:")
+    lines.append("            kc[v] = e = _entry(_fnv(v))")
+    lines.append("            sk_append(e)")
+    lines.append("    else:")
+    lines.append("        st = tail")
+    lines.append(f"    return st, err, len(sk) - base, {tuple_src}")
+    source = "\n".join(lines) + "\n"
     return CompiledTarget(fn=_compile(source, "<compiled-target>", "_target"))
 
 
@@ -583,31 +572,6 @@ def _compile(source: str, filename: str, name: str):
     namespace = {"state_key": state_key, "state_entry": state_entry}
     exec(compile(source, filename, "exec"), namespace)
     return namespace[name]
-
-
-@_nesting_limit
-def compile_step(program: Program):
-    """Uninstrumented single-step function.
-
-    Returns step(values_tuple, symbol) -> (status, error_id, new_values)
-    built from the same code generator as the campaign target, so both
-    engines share one set of semantics.
-    """
-    g = build_cfg(program)
-    gen, unpack, tuple_src = _names(program)
-
-    lines = ["def _step(values, _s):"]
-    if unpack:
-        lines.append(f"    {unpack}= values")
-    lines.append("    st = 0")
-    lines.append("    err = -1")
-    lines.append(f"    if _s < {program.alphabet_lo} or _s > {program.alphabet_hi}:")
-    lines.append("        st = 2")
-    lines.append("    else:")
-    lines.append("        for _ in (0,):")
-    _emit_body(g, frozenset(), gen, lines, g.entry, None, 3, outputs=False)
-    lines.append(f"    return st, err, {tuple_src}")
-    return _compile("\n".join(lines) + "\n", "<compiled-step>", "_step")
 
 
 def _input_classes(program: Program) -> "list[range]":

@@ -176,18 +176,18 @@ def _flat_pool(summary: IntervalSummary, program: Program, config: FuzzConfig) -
     return tuple(flat)
 
 
-def _execute_and_merge(c: Campaign, scratch, candidate) -> "tuple[int, int, bool, bool]":
+def _execute_and_merge(c: Campaign, scratch, candidate) -> "tuple[str, int | None, bool, bool]":
     """Run one candidate on the compiled target and merge its coverage into
-    the campaign maps. Returns (status_code, error_id, new_branch, new_state)."""
+    the campaign maps. Returns (status, error_id, new_branch, new_state)."""
     hits, touched, entries, outs = scratch
     touched.clear()
     entries.clear()
     outs.clear()
-    code, err, _steps, _final = c.target.fn(
+    status, err, _steps, _final = c.target.fn(
         candidate, DEFAULT_MAX_STEPS, hits, touched, entries, c.target.key_cache, outs
     )
     c.execs += 1
-    return (code, err, *c.maps.merge(hits, touched, entries))
+    return (status, err, *c.maps.merge(hits, touched, entries))
 
 
 def _record_error(c: Campaign, error_id: int, witness) -> None:
@@ -244,8 +244,8 @@ def init_campaign(
         seeds = seeds[:max(max_execs, 0)]
     scratch = ([0] * MAP_SIZE, [], [], [])
     for s in seeds:
-        code, err, new_branch, new_state = _execute_and_merge(c, scratch, s)
-        if code == 1:
+        status, err, new_branch, new_state = _execute_and_merge(c, scratch, s)
+        if status == "error":
             _record_error(c, err, s)
         c.queue.append(
             TestCase(
@@ -261,14 +261,14 @@ def init_campaign(
 
 
 def _solo_signature(target: CompiledTarget, seq, scratch):
-    """Behavior fingerprint of one isolated run: status code, error id,
+    """Behavior fingerprint of one isolated run: status, error id,
     classified branch buckets, and the touched state-map indices (as the
     (byte, mask) pairs of the state entries)."""
     hits, touched, entries, outs = scratch
     touched.clear()
     entries.clear()
     outs.clear()
-    code, err, _steps, _final = target.fn(
+    status, err, _steps, _final = target.fn(
         seq, DEFAULT_MAX_STEPS, hits, touched, entries, target.key_cache, outs
     )
     lut = _BUCKETS
@@ -278,7 +278,7 @@ def _solo_signature(target: CompiledTarget, seq, scratch):
         buckets.append((i, lut[n] if n < 256 else 0x80))
         hits[i] = 0
     buckets.sort()
-    return (code, err, tuple(buckets), frozenset(map(_INDEX, entries)))
+    return (status, err, tuple(buckets), frozenset(map(_INDEX, entries)))
 
 
 def trim(c: Campaign, seq) -> "tuple[int, ...]":
@@ -355,8 +355,8 @@ def fuzz_loop(
                 if done():
                     return finalize(c)
                 candidate = mutate(entry.input, c.pool_values, c.rng, corpus=c.queue)
-                code, err, new_branch, new_state = _execute_and_merge(c, scratch, candidate)
-                if code == 1:
+                status, err, new_branch, new_state = _execute_and_merge(c, scratch, candidate)
+                if status == "error":
                     _record_error(c, err, candidate)
                 if new_branch or (use_state and new_state):
                     c.queue.append(

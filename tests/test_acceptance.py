@@ -13,12 +13,14 @@ import json
 import random
 import time
 
-from reachfuzz.cfg import build_cfg, count_paths, iter_paths
+from reachfuzz.cfg import assign_block_tags, build_cfg, count_paths, iter_paths
 from reachfuzz.cli import main
 from reachfuzz.executor import (
+    BUCKET_LUT,
+    DEFAULT_MAX_STEPS,
+    MAP_SIZE,
     GlobalMaps,
-    classify_counts,
-    compile_step,
+    compile_target,
     run,
     state_key,
 )
@@ -106,19 +108,28 @@ def test_criterion_2_interval_soundness(capsys):
             assert iv.is_empty or (bounds[name].lo <= iv.lo
                                    and iv.hi <= bounds[name].hi), (
                 f"seed {seed}: {name} not stable under re-analysis")
-        step = compile_step(p)
+        # the campaign target's key_cache keys are exactly the valuations
+        # after each completed step of the walks
+        g = assign_block_tags(build_cfg(p), 0)
+        target = compile_target(p, g, select_instrumentation(g))
+        hits, touched, entries, outs = [0] * MAP_SIZE, [], [], []
         rnd = random.Random(1000 + seed)
         lo, hi = p.alphabet_lo, p.alphabet_hi
         for _ in range(10_000):
-            values = init
-            for _ in range(rnd.randint(1, 30)):
-                status, _err, values = step(values, rnd.randint(lo, hi))
-                if status != 0:
-                    break
-                checked_steps += 1
-                for v, l, h in zip(values, los, his):
-                    assert l <= v <= h, (
-                        f"seed {seed}: {values} escapes {bounds}")
+            walk = [rnd.randint(lo, hi) for _ in range(rnd.randint(1, 30))]
+            touched.clear()
+            entries.clear()
+            outs.clear()
+            _status, _err, steps, _final = target.fn(
+                walk, DEFAULT_MAX_STEPS, hits, touched, entries, target.key_cache, outs)
+            for i in touched:
+                hits[i] = 0
+            checked_steps += steps
+        assert target.key_cache
+        for values in target.key_cache:
+            for v, l, h in zip(values, los, his):
+                assert l <= v <= h, (
+                    f"seed {seed}: {values} escapes {bounds}")
     elapsed = time.perf_counter() - t0
     assert elapsed <= 60.0
     announce(capsys, (
@@ -233,14 +244,13 @@ def test_criterion_6_map_semantics(capsys):
     table = {0: 0x00, 1: 0x01, 2: 0x02, 3: 0x04, 4: 0x08, 8: 0x10,
              16: 0x20, 32: 0x40, 128: 0x80}
     for raw, want in table.items():
-        assert classify_counts(raw) == want
-    assert classify_counts(7) == 0x08
-    assert classify_counts(15) == 0x10
-    assert classify_counts(31) == 0x20
-    assert classify_counts(127) == 0x40
-    assert classify_counts(255) == 0x80
+        assert BUCKET_LUT[raw] == want
+    assert BUCKET_LUT[7] == 0x08
+    assert BUCKET_LUT[15] == 0x10
+    assert BUCKET_LUT[31] == 0x20
+    assert BUCKET_LUT[127] == 0x40
+    assert BUCKET_LUT[255] == 0x80
 
-    from reachfuzz.cfg import assign_block_tags
     from reachfuzz.frontend import parse_or_raise
 
     p = parse_or_raise("inputs 1..2; var a = 0; step(in){ a = in; }")
@@ -286,7 +296,6 @@ def test_criterion_7_pipeline(tmp_path, capsys):
             reachable_ids.append(int(k))
     assert reachable_ids, "campaign found no errors to verify"
 
-    from reachfuzz.cfg import assign_block_tags
     from reachfuzz.frontend import parse_or_raise
 
     p = parse_or_raise(prog.read_text())

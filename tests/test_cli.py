@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import reachfuzz.cli
+from reachfuzz import executor
 from reachfuzz.cfg import CapacityError, assign_block_tags, build_cfg, count_paths
 from reachfuzz.cli import main
-from reachfuzz.executor import DEFAULT_MAX_STEPS, compile_step, compile_target
+from reachfuzz.executor import DEFAULT_MAX_STEPS, compile_target
 from reachfuzz.frontend import list_error_ids, parse_or_raise, reference_step
 from reachfuzz.fuzzer import FuzzConfig, fuzz_loop, init_campaign
 from reachfuzz.gen import generate_source
@@ -151,6 +156,8 @@ def test_report_csv_ascending_and_verified(tmp_path, capsys):
 
 
 def test_report_replays_without_a_plan(tmp_path, capsys, monkeypatch):
+    """report judges witnesses by the AST interpreter alone: it builds no
+    plan and generates no code."""
     f = tmp_path / "p.rrp"
     f.write_text(generate_source(seed=3))
     out_dir = tmp_path / "camp"
@@ -160,7 +167,11 @@ def test_report_replays_without_a_plan(tmp_path, capsys, monkeypatch):
     def no_plan(g):
         raise AssertionError("report must not select instrumentation")
 
+    def no_codegen(*args):
+        raise AssertionError("report must not generate code")
+
     monkeypatch.setattr(reachfuzz.cli, "select_instrumentation", no_plan)
+    monkeypatch.setattr(executor, "_compile", no_codegen)
     code, out, _ = run(capsys, "report", str(out_dir), str(f))
     assert code == 0
     found = json.loads((out_dir / "stats.json").read_text())["errors"]
@@ -171,17 +182,23 @@ def test_report_replays_without_a_plan(tmp_path, capsys, monkeypatch):
     )
 
 
+TWO_ERRORS = "inputs 1..5; var a = 0; step(in){ if (in == 2) { error 7; } if (in == 3) { error 8; } }"
+
+
 @pytest.mark.parametrize(
     "witness, got",
     [
         ([], "ok/None"),
         ([9], "invalid_input/None"),
         ([1] * (DEFAULT_MAX_STEPS + 1), "step_limit/None"),
+        ([3], "error/8"),
+        # the error lies past the step bound
+        ([1] * DEFAULT_MAX_STEPS + [2], "step_limit/None"),
     ],
 )
 def test_report_rejects_witness_that_does_not_replay(tmp_path, capsys, witness, got):
     f = tmp_path / "p.rrp"
-    f.write_text("inputs 1..5; var a = 0; step(in){ if (in == 2) { error 7; } }")
+    f.write_text(TWO_ERRORS)
     out_dir = tmp_path / "camp"
     out_dir.mkdir()
     stats = {"errors": {"7": {"witness": witness}}}
@@ -290,20 +307,25 @@ def test_program_too_deep_to_compile_exits_two(tmp_path, capsys, source):
     f = tmp_path / "deep.rrp"
     f.write_text(source)
     assert run(capsys, "check", str(f))[0] == 0
-    camp = tmp_path / "camp"
-    camp.mkdir()
-    (camp / "stats.json").write_text('{"errors": {}}')
     symbols = tmp_path / "input.txt"
     symbols.write_text("1 2\n")
     for argv in (
         ["fuzz", str(f), "--max-execs", "100", "--out", str(tmp_path / "out")],
         ["replay", str(f), str(symbols)],
         ["oracle", str(f)],
-        ["report", str(camp), str(f)],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith(f"cannot {argv[0]} {f}: "), err
+    # report generates no code, so it takes these programs: with an empty
+    # campaign, every id is UNKNOWN
+    camp = tmp_path / "camp"
+    camp.mkdir()
+    (camp / "stats.json").write_text('{"errors": {}}')
+    code, out, err = run(capsys, "report", str(camp), str(f))
+    assert (code, err) == (0, "")
+    ids = sorted(list_error_ids(parse_or_raise(source)))
+    assert out == "".join(f"{k},UNKNOWN\n" for k in ids)
 
 
 def test_program_too_deep_to_compile_raises_capacity_error():
@@ -313,7 +335,6 @@ def test_program_too_deep_to_compile_raises_capacity_error():
     g = assign_block_tags(build_cfg(program), 0)
     for call in (
         lambda: compile_target(program, g, select_instrumentation(g)),
-        lambda: compile_step(program),
         lambda: bfs_reachability(program),
     ):
         with pytest.raises(CapacityError, match="nests too deeply to compile"):
@@ -355,3 +376,40 @@ def test_200_nested_parenthesised_sums_fuzz_and_pass_the_oracle(tmp_path, capsys
     for k in (1, 2):
         assert replays_to(program, oracle.reachable[k]) == k
         assert replays_to(program, found[k].witness) == k
+
+
+def console(*argv) -> "subprocess.CompletedProcess":
+    """Run reachfuzz in a fresh interpreter at the stack depth of the
+    console script, which sets how long an else-if chain can be."""
+    path = [str(Path(reachfuzz.cli.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    launcher = "import sys; from reachfuzz.cli import main; sys.exit(main())"
+    return subprocess.run(
+        [sys.executable, "-c", launcher, *argv], env=env, capture_output=True, text=True
+    )
+
+
+def test_984_arm_else_if_chain_fuzzes_and_reports(tmp_path):
+    """fuzz, report and oracle take a 984-arm else-if chain, one arm short
+    of the parser's limit, with a witness into its last arm."""
+    arms = 984
+    chain = " else ".join(f"if (in == {k}) {{ a = {k % 4}; }}" for k in range(arms - 1))
+    f = tmp_path / "chain.rrp"
+    f.write_text(
+        f"inputs 0..{arms}; var a = 0; step(in){{ {chain} else if (in == {arms - 1}) {{ error 1; }} }}"
+    )
+    out_dir = tmp_path / "out"
+    done = console("fuzz", str(f), "--max-execs", "2000", "--out", str(out_dir))
+    assert done.returncode == 0, done.stderr
+    done = console("report", str(out_dir), str(f))
+    assert done.returncode == 0, done.stderr
+    camp = tmp_path / "camp"
+    camp.mkdir()
+    (camp / "stats.json").write_text(json.dumps({"errors": {"1": {"witness": [arms - 1]}}}))
+    done = console("report", str(camp), str(f))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1,error_reachable\n", "")
+    done = console("oracle", str(f))
+    assert done.returncode == 0, done.stderr
+    assert f"error 1: reachable, witness={arms - 1}, len=1" in done.stdout

@@ -9,13 +9,12 @@ from hypothesis import given, settings
 from reachfuzz import executor
 from reachfuzz.cfg import Branch, ExitKind, Jump, assign_block_tags, build_cfg
 from reachfuzz.executor import (
+    BUCKET_LUT,
     DEFAULT_MAX_STEPS,
     MAP_SIZE,
     ExecResult,
     GlobalMaps,
-    classify_counts,
     compile_expand,
-    compile_step,
     compile_target,
     run,
     state_entry,
@@ -230,7 +229,7 @@ def test_classify_counts_table():
         255: 0x80,
     }
     for raw, want in table.items():
-        assert classify_counts(raw) == want, raw
+        assert BUCKET_LUT[raw] == want, raw
 
 
 def bucket_reference(raw):
@@ -255,7 +254,7 @@ def bucket_reference(raw):
 
 def test_classify_counts_exhaustive():
     for raw in range(256):
-        assert classify_counts(raw) == bucket_reference(raw)
+        assert BUCKET_LUT[raw] == bucket_reference(raw)
 
 
 def test_branch_pair_indices_hand_computed():
@@ -419,14 +418,11 @@ def test_compiled_wraps_like_interpreter():
     assert a.outputs == b.outputs
     assert bytes(a.counts) == bytes(b.counts)
     # a gains 16 bits a step, so it leaves the signed 64-bit range by step 4
-    values = ref = (1, 0)
-    step = compile_step(p)
+    ref = (1, 0)
     for sym in seq:
-        code, _err, values = step(values, sym)
         status, _err, ref, _outs = reference_step(p, ref, sym)
-        assert (code, status) == (0, "ok")
-        assert values == ref
-    assert values == a.final_values
+        assert status == "ok"
+    assert ref == a.final_values
 
 
 def test_compiled_agrees_with_reference_step_composition():
@@ -448,16 +444,6 @@ def test_compiled_agrees_with_reference_step_composition():
             assert r.steps == steps
             if r.status == "ok":
                 assert r.final_values == values
-
-
-def test_compile_step_codes():
-    p = parse_or_raise(EXAMPLE)
-    step = compile_step(p)
-    assert step((1,), 3) == (0, -1, (2,))
-    assert step((1,), 2) == (2, -1, (1,))
-    assert step((1,), 9) == (2, -1, (1,))
-    p2 = parse_or_raise("inputs 1..5; step(in){ if (in == 1) { error 4; } }")
-    assert compile_step(p2)((), 1) == (1, 4, ())
 
 
 @given(st.integers(min_value=0, max_value=80), st.randoms(use_true_random=False))
@@ -523,11 +509,12 @@ WRAP_PROGRAMS = {
 
 
 def wrap_tests(monkeypatch, text: str) -> "list[str]":
-    """The wrap test after each arithmetic assignment of compile_step's
-    source, in order: "top", "bottom", "both" or "none"."""
+    """The wrap test after each arithmetic assignment of the campaign
+    target's source, in order: "top", "bottom", "both" or "none"."""
     sources = []
     monkeypatch.setattr(executor, "_compile", lambda source, *args: sources.append(source))
-    compile_step(parse_or_raise(text))
+    p, g, plan = build(text)
+    compile_target(p, g, plan)
     monkeypatch.undo()
     lines = sources[0].splitlines() + [""]
     sides = []
@@ -560,29 +547,36 @@ def test_wrap_tests_only_where_the_bound_escapes(monkeypatch):
 
 
 def test_wrap_tests_agree_with_reference_step():
-    """The campaign target, compile_step and the oracle's expander
-    against the AST interpreter, on every state of long random runs."""
+    """The campaign target and the oracle's expander against the AST
+    interpreter, on every state of long random runs; the expander both
+    by the whole alphabet and by each symbol its classes list."""
     near_limits = set()
     for name, text in WRAP_PROGRAMS.items():
         p, g, plan = build(text)
         target = compile_target(p, g, plan)
-        step = compile_step(p)
         expand, classes = compile_expand(p)
         rnd = random.Random(name)
         for _ in range(6):
             seq = [rnd.randint(p.alphabet_lo, p.alphabet_hi) for _ in range(80)]
             values, keys = p.initial_values(), []
             for sym in seq:
-                want = []
+                want, successor = [], {}
                 for other in p.alphabet():
                     status, _err, nxt, _outs = reference_step(p, values, other)
                     assert status == "ok"
-                    assert step(values, other) == (0, -1, tuple(nxt)), (name, values, other)
+                    successor[other] = tuple(nxt)
                     if tuple(nxt) not in want:
                         want.append(tuple(nxt))
                 reached, parents, seen = [], [], set()
                 assert expand([values], seen, reached.append, parents.append, {}, 10**9, classes) is False
                 assert reached == want, (name, values)
+                for j, symbols in enumerate(classes):
+                    for other in symbols:
+                        # every body off but body j, which runs for other alone
+                        one = tuple((other,) if i == j else () for i in range(len(classes)))
+                        reached = []
+                        expand([values], set(), reached.append, [].append, {}, 10**9, one)
+                        assert reached == [successor[other]], (name, values, other)
                 values = tuple(reference_step(p, values, sym)[2])
                 keys.append(state_key(values))
                 if any(abs(v) > 2**62 for v in values):

@@ -7,7 +7,7 @@ import random
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from reachfuzz.executor import BUCKET_LUT, MAP_SIZE, STATUS_BY_CODE, GlobalMaps
+from reachfuzz.executor import BUCKET_LUT, MAP_SIZE, GlobalMaps
 from reachfuzz.frontend import parse_or_raise
 from reachfuzz.fuzzer import (
     ENERGY_BASE,
@@ -293,10 +293,9 @@ def test_campaign_merge_matches_global_maps():
             for _ in range(120):
                 seq = tuple(rnd.randint(p.alphabet_lo, p.alphabet_hi)
                             for _ in range(rnd.choice((1, 5, 40, 500, 700))))
-                code, err, new_branch, new_state = _execute_and_merge(c, scratch, seq)
+                status, err, new_branch, new_state = _execute_and_merge(c, scratch, seq)
                 r = c.target.run(seq)
-                assert STATUS_BY_CODE[code] == r.status
-                assert (err if code == 1 else None) == r.error_id
+                assert (status, err) == (r.status, r.error_id)
                 assert (new_branch, new_state) == merge_reference(ref, r)
                 assert c.maps.virgin_branch == ref.virgin_branch
                 assert c.maps.state_bits == ref.state_bits

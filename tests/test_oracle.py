@@ -7,7 +7,7 @@ import pytest
 
 import reachfuzz.oracle
 from reachfuzz.cfg import assign_block_tags, build_cfg
-from reachfuzz.executor import _FoldGen, compile_expand, compile_step, run
+from reachfuzz.executor import _FoldGen, compile_expand, run
 from reachfuzz.frontend import list_error_ids, parse_or_raise, reference_step
 from reachfuzz.fuzzer import fuzz_loop, init_campaign
 from reachfuzz.gen import generate_program
@@ -77,9 +77,8 @@ CLASS_PROGRAMS = (
 
 
 def reference_bfs(program, state_cap: int, depth_cap: int) -> OracleResult:
-    """The oracle as a queue of states, one compiled step per (state,
-    symbol) and a (parent, symbol) edge and a depth per state."""
-    step = compile_step(program)
+    """The oracle as a queue of states, one AST-interpreted step per
+    (state, symbol) and a (parent, symbol) edge and a depth per state."""
     alphabet = tuple(program.alphabet())
     error_ids = list_error_ids(program)
     initial = program.initial_values()
@@ -107,12 +106,12 @@ def reference_bfs(program, state_cap: int, depth_cap: int) -> OracleResult:
             complete = False
             continue
         for sym in alphabet:
-            status, err, nxt = step(state, sym)
-            if status == 1:
+            status, err, nxt, _outs = reference_step(program, state, sym)
+            if status == "error":
                 if err not in reachable:
                     reachable[err] = backtrack(state, sym)
                 continue
-            if status != 0:
+            if status != "ok":
                 continue
             if nxt in parents:
                 continue
