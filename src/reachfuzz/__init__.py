@@ -24,11 +24,8 @@ from .executor import (
     BUCKET_LUT,
     MAP_SIZE,
     CompiledTarget,
-    ExecResult,
     GlobalMaps,
-    NoveltyReport,
     compile_target,
-    run,
     state_key,
 )
 from .frontend import (
@@ -74,7 +71,6 @@ __all__ = [
     "CompiledTarget",
     "Diagnostic",
     "ErrorRecord",
-    "ExecResult",
     "Exit",
     "ExitKind",
     "FuzzConfig",
@@ -84,7 +80,6 @@ __all__ = [
     "IntervalSummary",
     "Jump",
     "MAP_SIZE",
-    "NoveltyReport",
     "OracleResult",
     "Program",
     "TestCase",
@@ -110,7 +105,6 @@ __all__ = [
     "pretty_print",
     "project_trace",
     "reference_step",
-    "run",
     "schedule_energy",
     "select_instrumentation",
     "state_key",

@@ -95,7 +95,9 @@ def build_cfg(program: Program) -> Cfg:
 
     Walking the result visits the same statement sequence as direct AST
     interpretation for every (state, input) pair. Statements after an
-    unconditional `error`/`reject` are unreachable and dropped.
+    unconditional `error`/`reject` are unreachable and dropped. Every
+    edge goes to a higher block id: a branch's arms and join, and a
+    jump's target, are made after the block that leaves for them.
     """
     blocks: "list[BasicBlock]" = []
 
@@ -176,32 +178,14 @@ def assign_block_tags(g: Cfg, seed: int) -> Cfg:
     return replace(g, tags=tags)
 
 
-def topological_order(g: Cfg) -> "list[int]":
-    """Topological sort of block ids; raises ValueError on a cycle."""
-    indeg = {b.id: 0 for b in g.blocks}
-    for b in g.blocks:
-        for s in b.successors():
-            indeg[s] += 1
-    ready = sorted(i for i, d in indeg.items() if d == 0)
-    order = []
-    while ready:
-        n = ready.pop()
-        order.append(n)
-        for s in g.blocks[n].successors():
-            indeg[s] -= 1
-            if indeg[s] == 0:
-                ready.append(s)
-    if len(order) != len(g.blocks):
-        raise ValueError("graph has a cycle")
-    return order
-
-
 def count_paths(g: Cfg) -> int:
-    """Number of entry-to-exit paths, by DAG dynamic programming."""
-    counts: "dict[int, int]" = {}
-    for n in reversed(topological_order(g)):
-        succs = g.blocks[n].successors()
-        counts[n] = 1 if not succs else sum(counts[s] for s in succs)
+    """Number of entry-to-exit paths, by DAG dynamic programming over the
+    blocks in reverse id order, a reverse topological order of a CFG from
+    build_cfg."""
+    counts = [0] * len(g.blocks)
+    for b in reversed(g.blocks):
+        succs = b.successors()
+        counts[b.id] = 1 if not succs else sum(counts[s] for s in succs)
     return counts[g.entry]
 
 

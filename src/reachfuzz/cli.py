@@ -1,7 +1,11 @@
 """Command-line surface: check, analyze, gen, fuzz, replay, oracle, report.
 
-Exit codes: 0 success, 1 invalid program, 2 I/O or capacity trouble.
+Exit codes: 0 success, 1 invalid program, 2 I/O or capacity trouble, a
+malformed input or campaign file, or a non-positive `gen` parameter.
 Input and witness files are whitespace-separated ASCII decimal symbols.
+`replay` and `report` run inputs through the AST interpreter
+(frontend.reference_step), not generated code, so they take programs
+that nest too deeply to compile.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .cfg import CapacityError, assign_block_tags, build_cfg, count_paths, dump_cfg
-from .executor import DEFAULT_MAX_STEPS, GlobalMaps, run
+from .executor import DEFAULT_MAX_STEPS
 from .frontend import Program, list_error_ids, parse_program, reference_step
 from .fuzzer import (
     FuzzConfig,
@@ -100,14 +104,18 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    text = generate_source(
-        vars=args.vars,
-        domain=args.domain,
-        alphabet=args.alphabet,
-        depth=args.depth,
-        errors=args.errors,
-        seed=args.seed,
-    )
+    try:
+        text = generate_source(
+            vars=args.vars,
+            domain=args.domain,
+            alphabet=args.alphabet,
+            depth=args.depth,
+            errors=args.errors,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        print(f"cannot gen: {exc}", file=sys.stderr)
+        return 2
     if args.out:
         try:
             Path(args.out).write_text(text)
@@ -138,6 +146,24 @@ def cmd_fuzz(args) -> int:
     return 0
 
 
+def _replay(program: Program, seq) -> "tuple[str, int | None, int, list[int]]":
+    """(status, error id, completed steps, outputs) of seq run by the AST
+    interpreter from the initial valuation, stopped where the campaign
+    target stops it. The outputs include those of a step that does not
+    complete."""
+    values = program.initial_values()
+    outputs: "list[int]" = []
+    for steps, sym in enumerate(seq[:DEFAULT_MAX_STEPS]):
+        status, error_id, values, emitted = reference_step(program, values, sym)
+        outputs.extend(emitted)
+        if status != "ok":
+            return status, error_id, steps, outputs
+    # the target stops a sequence longer than the bound
+    if len(seq) > DEFAULT_MAX_STEPS:
+        return "step_limit", None, DEFAULT_MAX_STEPS, outputs
+    return "ok", None, len(seq), outputs
+
+
 def cmd_replay(args) -> int:
     program, code = _load_program(args.file)
     if program is None:
@@ -145,17 +171,21 @@ def cmd_replay(args) -> int:
     text = _read_text(args.input)
     if text is None:
         return 2
-    seq = parse_input_text(text)
-    g = assign_block_tags(build_cfg(program), 0)
-    plan = select_instrumentation(g)
-    result = run(program, g, plan, seq)
-    status = f"error({result.error_id})" if result.status == "error" else result.status
-    print(f"status: {status}")
-    print(f"steps: {result.steps}")
-    print("outputs:", " ".join(str(v) for v in result.outputs))
-    report = GlobalMaps().merge_and_report(result)
-    print(f"new_branch_bits: {str(report.new_branch_bits).lower()}")
-    print(f"new_state_bits: {str(report.new_state_bits).lower()}")
+    try:
+        seq = parse_input_text(text)
+    except ValueError as exc:
+        print(f"malformed {args.input}: {exc}", file=sys.stderr)
+        return 2
+    status, error_id, steps, outputs = _replay(program, seq)
+    print(f"status: {f'error({error_id})' if status == 'error' else status}")
+    print(f"steps: {steps}")
+    print("outputs:", " ".join(str(v) for v in outputs))
+    # the novelty of the run against empty maps: the entry block is always
+    # probed, so a run sets a branch bit iff its first step starts, and a
+    # state bit iff a step completes
+    started = bool(seq) and program.alphabet_lo <= seq[0] <= program.alphabet_hi
+    print(f"new_branch_bits: {str(started).lower()}")
+    print(f"new_state_bits: {str(steps > 0).lower()}")
     return 0
 
 
@@ -170,18 +200,6 @@ def cmd_oracle(args) -> int:
         print(f"error {k}: reachable, witness={symbols}, len={len(witness)}")
     print(f"complete: {str(result.complete).lower()}, states: {result.explored_states}")
     return 0
-
-
-def _replay_status(program: Program, seq) -> "tuple[str, int | None]":
-    """Status and error id that the campaign target reports for seq, found
-    by the AST interpreter from the initial valuation."""
-    values = program.initial_values()
-    for sym in seq[:DEFAULT_MAX_STEPS]:
-        status, error_id, values, _ = reference_step(program, values, sym)
-        if status != "ok":
-            return status, error_id
-    # the target stops a sequence longer than the bound
-    return "step_limit" if len(seq) > DEFAULT_MAX_STEPS else "ok", None
 
 
 def _witnesses(stats) -> "dict[int, tuple[int, ...]]":
@@ -222,7 +240,7 @@ def cmd_report(args) -> int:
         print(f"malformed {stats_path}: {exc}", file=sys.stderr)
         return 2
     for k, witness in sorted(found.items()):
-        status, error_id = _replay_status(program, witness)
+        status, error_id, _, _ = _replay(program, witness)
         if status != "error" or error_id != k:
             print(
                 f"witness for error {k} does not replay (got {status}/{error_id})",

@@ -11,7 +11,9 @@ One code generator, _emit_body, turns the step body into Python in two
 places: the campaign target (program + plan + tags, instrumented) and
 the oracle's uninstrumented whole-level expander (compile_expand). The
 test suite checks both against the AST reference interpreter,
-frontend.reference_step, which also replays witnesses for `report`.
+frontend.reference_step, which also runs inputs for `replay` and
+witnesses for `report`. Neither generator makes a line for `emit`: no
+caller reads the outputs of a compiled run.
 """
 
 from __future__ import annotations
@@ -58,31 +60,6 @@ def state_entry(key: int) -> "tuple[int, int, int]":
     at the key's low 16 bits. The only place that picks the bit."""
     i = key & 0xFFFF
     return key, i >> 3, 1 << (i & 7)
-
-
-@dataclass(frozen=True)
-class ExecResult:
-    """Everything one execution produced.
-
-    counts is the local 65,536-byte branch map with raw saturating hit
-    counts; touched lists exactly the nonzero indices (first-touch order).
-    state_keys has one entry per completed step, in step order.
-    """
-
-    status: str
-    error_id: "int | None"
-    steps: int
-    counts: bytearray
-    touched: "tuple[int, ...]"
-    state_keys: "tuple[int, ...]"
-    outputs: "tuple[int, ...]"
-    final_values: "tuple[int, ...]"
-
-
-@dataclass(frozen=True)
-class NoveltyReport:
-    new_branch_bits: bool
-    new_state_bits: bool
 
 
 _KEY = itemgetter(0)
@@ -134,10 +111,6 @@ class GlobalMaps:
                 if len(keys) < cap:
                     keys.add(key)
         return new_branch, new_state
-
-    def merge_and_report(self, result: ExecResult) -> NoveltyReport:
-        entries = [state_entry(k) for k in result.state_keys]
-        return NoveltyReport(*self.merge(bytearray(result.counts), result.touched, entries))
 
     def branch_bit_count(self) -> int:
         return int.from_bytes(self.virgin_branch, "little").bit_count()
@@ -333,7 +306,6 @@ def _emit_body(
     prev: "int | None" = None,
     on_error: "tuple[str, ...]" = _BREAK_ERROR,
     on_reject: "tuple[str, ...]" = _BREAK_REJECT,
-    outputs: bool = True,
 ) -> "tuple[int | None, int]":
     """Emit structured Python for the block subgraph from bid up to stop.
 
@@ -349,7 +321,7 @@ def _emit_body(
     join, or by the caller at the end of the step.
 
     on_error and on_reject are the line templates of the two non-ok
-    exits; outputs=False drops `emit` statements.
+    exits. `emit` statements make no line.
 
     A branch whose condition gen decides is replaced by its taken arm, an
     arm that emits no line is left out, and an else arm that is a single
@@ -368,8 +340,6 @@ def _emit_body(
         for st in blk.stmts:
             if isinstance(st, Assign):
                 lines.extend(gen.assign(gen.rename[st.name], st, pad))
-            elif outputs:
-                lines.append(f"{pad}out_append({st.value})")
         term = blk.term
         if isinstance(term, Jump):
             bid = term.target
@@ -398,7 +368,7 @@ def _emit_body(
             sub: "list[str]" = []
             arms.append((sub, *_emit_body(
                 g, instrumented, gen, sub, arm_id, join, arm_depth, prev,
-                on_error, on_reject, outputs,
+                on_error, on_reject,
             )))
         ends = [k for _, k, _ in arms]
         if len(arms) == 1:
@@ -454,11 +424,11 @@ def _names(program: Program) -> "tuple[_ExprGen, str, str]":
 class CompiledTarget:
     """A program + plan + tag table compiled to a Python function.
 
-    fn(seq, max_steps, counts, touched, state_entries, key_cache, outputs)
-    -> (status, error_id, steps, final_values), with status one of "ok",
-    "error", "invalid_input", "step_limit" and error_id None unless it is
-    "error"; callers own the buffers, so campaign loops can reuse scratch
-    storage across runs.
+    fn(seq, counts, touched, state_entries, key_cache) -> (status,
+    error_id), with status one of "ok", "error", "invalid_input",
+    "step_limit" and error_id None unless it is "error". A run stops after
+    DEFAULT_MAX_STEPS steps. Callers own the buffers, so campaign loops
+    can reuse scratch storage across runs.
     counts is a list of MAP_SIZE ints that the run leaves zero outside
     touched; its hit counts are not saturated (a list index costs less
     than a bytearray one), so readers clamp them at 255.
@@ -468,28 +438,6 @@ class CompiledTarget:
 
     fn: "object"
     key_cache: dict = field(default_factory=dict)
-
-    def run(self, input_seq, max_steps: int = DEFAULT_MAX_STEPS) -> ExecResult:
-        hits = [0] * MAP_SIZE
-        touched: "list[int]" = []
-        entries: "list[tuple[int, int, int]]" = []
-        outputs: "list[int]" = []
-        status, err, steps, final = self.fn(
-            input_seq, max_steps, hits, touched, entries, self.key_cache, outputs
-        )
-        counts = bytearray(MAP_SIZE)
-        for i in touched:
-            counts[i] = min(hits[i], 255)
-        return ExecResult(
-            status=status,
-            error_id=err,
-            steps=steps,
-            counts=counts,
-            touched=tuple(touched),
-            state_keys=tuple(e[0] for e in entries),
-            outputs=tuple(outputs),
-            final_values=final,
-        )
 
 
 def _nesting_limit(generator):
@@ -525,7 +473,7 @@ def compile_target(program: Program, g: Cfg, plan: InstrumentationPlan) -> Compi
     lo, hi = program.alphabet_lo, program.alphabet_hi
 
     lines = [
-        "def _target(seq, max_steps, m, t, sk, kc, out, _fnv=state_key, _entry=state_entry):",
+        "def _target(seq, m, t, sk, kc, _fnv=state_key, _entry=state_entry):",
     ]
     for (name, init) in program.globals:
         lines.append(f"    {gen.rename[name]} = {init}")
@@ -533,14 +481,12 @@ def compile_target(program: Program, g: Cfg, plan: InstrumentationPlan) -> Compi
     lines.append("    err = None")
     lines.append("    t_append = t.append")
     lines.append("    sk_append = sk.append")
-    lines.append("    out_append = out.append")
-    lines.append("    base = len(sk)")
     lines.append("    seq = tuple(seq)")
     lines.append("    n = len(seq)")
     lines.append("    end = n")
     lines.append("    tail = 'ok'")
-    lines.append("    if n > max_steps:")
-    lines.append("        end = max_steps if max_steps > 0 else 0")
+    lines.append(f"    if n > {DEFAULT_MAX_STEPS}:")
+    lines.append(f"        end = {DEFAULT_MAX_STEPS}")
     lines.append("        tail = 'step_limit'")
     lines.append(f"    if n and (min(seq) < {lo} or max(seq) > {hi}):")
     lines.append("        j = 0")
@@ -561,7 +507,7 @@ def compile_target(program: Program, g: Cfg, plan: InstrumentationPlan) -> Compi
     lines.append("            sk_append(e)")
     lines.append("    else:")
     lines.append("        st = tail")
-    lines.append(f"    return st, err, len(sk) - base, {tuple_src}")
+    lines.append("    return st, err")
     source = "\n".join(lines) + "\n"
     return CompiledTarget(fn=_compile(source, "<compiled-target>", "_target"))
 
@@ -637,7 +583,7 @@ def compile_expand(program: Program):
         body = [f"{pad}{unpack}= values"] if unpack else []
         end, _ = _emit_body(
             g, frozenset(), fold, body, g.entry, None, 3,
-            on_error=_SKIP_ERROR, on_reject=_SKIP_REJECT, outputs=False,
+            on_error=_SKIP_ERROR, on_reject=_SKIP_REJECT,
         )
         if end == _DEAD and not any("found[" in line for line in body):
             continue  # every path rejects
@@ -669,13 +615,3 @@ def compile_expand(program: Program):
     lines.append("    return full")
     return _compile("\n".join(lines) + "\n", "<compiled-expand>", "_expand"), tuple(classes)
 
-
-def run(
-    program: Program,
-    g: Cfg,
-    plan: InstrumentationPlan,
-    input_seq,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> ExecResult:
-    """Compile the campaign target and run it once."""
-    return compile_target(program, g, plan).run(input_seq, max_steps)

@@ -23,7 +23,6 @@ from random import Random
 from .cfg import Cfg, assign_block_tags, build_cfg
 from .executor import (
     _BUCKETS,
-    DEFAULT_MAX_STEPS,
     MAP_SIZE,
     CompiledTarget,
     GlobalMaps,
@@ -179,13 +178,10 @@ def _flat_pool(summary: IntervalSummary, program: Program, config: FuzzConfig) -
 def _execute_and_merge(c: Campaign, scratch, candidate) -> "tuple[str, int | None, bool, bool]":
     """Run one candidate on the compiled target and merge its coverage into
     the campaign maps. Returns (status, error_id, new_branch, new_state)."""
-    hits, touched, entries, outs = scratch
+    hits, touched, entries = scratch
     touched.clear()
     entries.clear()
-    outs.clear()
-    status, err, _steps, _final = c.target.fn(
-        candidate, DEFAULT_MAX_STEPS, hits, touched, entries, c.target.key_cache, outs
-    )
+    status, err = c.target.fn(candidate, hits, touched, entries, c.target.key_cache)
     c.execs += 1
     return (status, err, *c.maps.merge(hits, touched, entries))
 
@@ -242,7 +238,7 @@ def init_campaign(
 
     if max_execs is not None:
         seeds = seeds[:max(max_execs, 0)]
-    scratch = ([0] * MAP_SIZE, [], [], [])
+    scratch = ([0] * MAP_SIZE, [], [])
     for s in seeds:
         status, err, new_branch, new_state = _execute_and_merge(c, scratch, s)
         if status == "error":
@@ -264,13 +260,10 @@ def _solo_signature(target: CompiledTarget, seq, scratch):
     """Behavior fingerprint of one isolated run: status, error id,
     classified branch buckets, and the touched state-map indices (as the
     (byte, mask) pairs of the state entries)."""
-    hits, touched, entries, outs = scratch
+    hits, touched, entries = scratch
     touched.clear()
     entries.clear()
-    outs.clear()
-    status, err, _steps, _final = target.fn(
-        seq, DEFAULT_MAX_STEPS, hits, touched, entries, target.key_cache, outs
-    )
+    status, err = target.fn(seq, hits, touched, entries, target.key_cache)
     lut = _BUCKETS
     buckets = []
     for i in touched:
@@ -296,7 +289,7 @@ def trim(c: Campaign, seq) -> "tuple[int, ...]":
     budget = c.exec_budget if c.exec_budget is not None else inf
     if c.execs >= budget:
         return tuple(seq)
-    scratch = ([0] * MAP_SIZE, [], [], [])
+    scratch = ([0] * MAP_SIZE, [], [])
     base = _solo_signature(c.target, seq, scratch)
     c.execs += 1
     out = list(seq)
@@ -339,7 +332,7 @@ def fuzz_loop(
     config = c.config
     use_state = not config.baseline
     total_ids = len(c.all_error_ids)
-    scratch = ([0] * MAP_SIZE, [], [], [])
+    scratch = ([0] * MAP_SIZE, [], [])
 
     def done() -> bool:
         if max_execs is not None and c.execs >= max_execs:

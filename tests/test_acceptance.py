@@ -13,17 +13,12 @@ import json
 import random
 import time
 
+from runs import replay, run_target
+
 from reachfuzz.cfg import assign_block_tags, build_cfg, count_paths, iter_paths
 from reachfuzz.cli import main
-from reachfuzz.executor import (
-    BUCKET_LUT,
-    DEFAULT_MAX_STEPS,
-    MAP_SIZE,
-    GlobalMaps,
-    compile_target,
-    run,
-    state_key,
-)
+from reachfuzz.executor import BUCKET_LUT, MAP_SIZE, GlobalMaps, compile_target, state_key
+from reachfuzz.frontend import parse_or_raise
 from reachfuzz.fuzzer import (
     baseline_config,
     finalize,
@@ -112,19 +107,17 @@ def test_criterion_2_interval_soundness(capsys):
         # after each completed step of the walks
         g = assign_block_tags(build_cfg(p), 0)
         target = compile_target(p, g, select_instrumentation(g))
-        hits, touched, entries, outs = [0] * MAP_SIZE, [], [], []
+        hits, touched, entries = [0] * MAP_SIZE, [], []
         rnd = random.Random(1000 + seed)
         lo, hi = p.alphabet_lo, p.alphabet_hi
         for _ in range(10_000):
             walk = [rnd.randint(lo, hi) for _ in range(rnd.randint(1, 30))]
             touched.clear()
             entries.clear()
-            outs.clear()
-            _status, _err, steps, _final = target.fn(
-                walk, DEFAULT_MAX_STEPS, hits, touched, entries, target.key_cache, outs)
+            target.fn(walk, hits, touched, entries, target.key_cache)
             for i in touched:
                 hits[i] = 0
-            checked_steps += steps
+            checked_steps += len(entries)
         assert target.key_cache
         for values in target.key_cache:
             for v, l, h in zip(values, los, his):
@@ -154,8 +147,7 @@ def test_criterion_3_oracle_agreement(capsys):
             reported += 1
             assert k in orc.reachable, (
                 f"program {gseed}: error {k} reported but unreachable")
-            r = c.target.run(rec.witness)
-            assert r.status == "error" and r.error_id == k, (
+            assert replay(p, rec.witness) == ("error", k), (
                 f"program {gseed}: witness for error {k} does not replay")
         pool = {k for k, w in orc.reachable.items() if len(w) <= 25}
         pool_total += len(pool)
@@ -251,19 +243,21 @@ def test_criterion_6_map_semantics(capsys):
     assert BUCKET_LUT[127] == 0x40
     assert BUCKET_LUT[255] == 0x80
 
-    from reachfuzz.frontend import parse_or_raise
-
     p = parse_or_raise("inputs 1..2; var a = 0; step(in){ a = in; }")
     g = assign_block_tags(build_cfg(p), 0)
-    plan = select_instrumentation(g)
+    target = compile_target(p, g, select_instrumentation(g))
     m = GlobalMaps()
-    r1 = run(p, g, plan, [1])
-    first = m.merge_and_report(r1)
-    assert first.new_branch_bits and first.new_state_bits
-    again = m.merge_and_report(r1)
-    assert (again.new_branch_bits, again.new_state_bits) == (False, False)
-    state_only = m.merge_and_report(run(p, g, plan, [2]))
-    assert (state_only.new_branch_bits, state_only.new_state_bits) == (False, True)
+
+    def merge(seq):
+        r = run_target(target, seq)
+        return m.merge(bytearray(r.counts), r.touched, r.entries)
+
+    first = merge([1])
+    assert first == (True, True)
+    again = merge([1])
+    assert again == (False, False)
+    state_only = merge([2])
+    assert state_only == (False, True)
 
     assert state_key(()) == 0xCBF29CE484222325
     assert state_key((1, 0)) == 0x392209F14DEA4C24
@@ -296,15 +290,10 @@ def test_criterion_7_pipeline(tmp_path, capsys):
             reachable_ids.append(int(k))
     assert reachable_ids, "campaign found no errors to verify"
 
-    from reachfuzz.frontend import parse_or_raise
-
     p = parse_or_raise(prog.read_text())
-    g = assign_block_tags(build_cfg(p), 0)
-    plan = select_instrumentation(g)
     for k in reachable_ids:
         witness = parse_input_text((camp / "errors" / f"error_{k}.txt").read_text())
-        r = run(p, g, plan, witness)
-        assert r.status == "error" and r.error_id == k
+        assert replay(p, witness) == ("error", k)
     announce(capsys, (
         f"[criterion 7] pipeline: PASS (gen/check/analyze/fuzz/report all "
         f"exit 0, {len(reachable_ids)} error_reachable verdicts replayed)"))

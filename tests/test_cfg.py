@@ -16,10 +16,10 @@ from reachfuzz.cfg import (
     count_paths,
     dump_cfg,
     iter_paths,
-    topological_order,
 )
 from reachfuzz.frontend import parse_or_raise, reference_step
 from reachfuzz.gen import generate_program
+from test_oracle import else_if_chain
 
 STRAIGHT = "inputs 1..2; var a = 0; var b = 0; step(in){ a = 1; b = 2; }"
 DIAMOND = "inputs 1..5; var a = 0; step(in){ if (in == 3) { a = 2; } else { a = 1; } }"
@@ -156,14 +156,15 @@ def test_tags_at_capacity_boundary():
     assert len(set(g.tags)) == 65536
 
 
-def test_topological_order_respects_edges():
-    for seed in range(4):
-        g = build_cfg(generate_program(seed=seed))
-        order = topological_order(g)
-        assert sorted(order) == sorted(b.id for b in g.blocks)
-        pos = {bid: i for i, bid in enumerate(order)}
-        for a, b in edges_of(g):
-            assert pos[a] < pos[b]
+def test_block_ids_are_a_topological_order():
+    """Every edge goes to a higher block id, so count_paths can walk the
+    blocks in reverse id order."""
+    programs = [generate_program(seed=seed) for seed in range(20)]
+    programs += [generate_program(vars=6, depth=6, seed=seed) for seed in range(5)]
+    programs += [parse_or_raise(else_if_chain(arms)) for arms in (1, 2, 60)]
+    for p in programs:
+        for a, b in edges_of(build_cfg(p)):
+            assert b > a
 
 
 def test_dump_cfg_lists_blocks_and_edges():

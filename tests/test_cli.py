@@ -2,19 +2,21 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from runs import run_target
 
 import reachfuzz.cli
 from reachfuzz import executor
 from reachfuzz.cfg import CapacityError, assign_block_tags, build_cfg, count_paths
 from reachfuzz.cli import main
-from reachfuzz.executor import DEFAULT_MAX_STEPS, compile_target
+from reachfuzz.executor import DEFAULT_MAX_STEPS, GlobalMaps, compile_target
 from reachfuzz.frontend import list_error_ids, parse_or_raise, reference_step
-from reachfuzz.fuzzer import FuzzConfig, fuzz_loop, init_campaign
+from reachfuzz.fuzzer import FuzzConfig, format_input, fuzz_loop, init_campaign
 from reachfuzz.gen import generate_source
 from reachfuzz.instrument import select_instrumentation
 from reachfuzz.oracle import bfs_reachability
@@ -46,6 +48,17 @@ def test_gen_writes_file(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "--seed", "4", "--out", str(target))
     assert code == 0
     assert target.read_text() == generate_source(seed=4)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--domain", "0"), ("--vars", "0"), ("--alphabet", "-1"), ("--depth", "0"), ("--errors", "-1")],
+)
+def test_gen_non_positive_parameter_exits_two(capsys, flag, value):
+    code, out, err = run(capsys, "gen", flag, value)
+    assert code == 2
+    assert out == ""
+    assert err == "cannot gen: generation parameters must be positive\n"
 
 
 def test_check_valid_program(tmp_path, capsys):
@@ -123,6 +136,74 @@ def test_replay_prints_status_and_novelty(tmp_path, capsys):
     assert "status: error(7)" in out
     assert "steps: 1" in out
     assert "new_branch_bits" in out
+
+
+def test_replay_rejects_a_non_integer_symbol(tmp_path, capsys):
+    f = tmp_path / "p.rrp"
+    f.write_text("inputs 1..5; var a = 0; step(in){ if (in == 2) { error 7; } }")
+    w = tmp_path / "bad.txt"
+    w.write_text("1 x 2\n")
+    code, out, err = run(capsys, "replay", str(f), str(w))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"malformed {w}: ")
+    assert "'x'" in err
+    assert err.count("\n") == 1
+
+
+# emits in a step that errors, rejects or completes
+EMITS = (
+    "inputs 1..5; var a = 0; step(in){ emit 4; if (in == 2) { emit 9; error 7; } "
+    "if (in == 3) { reject; } a = a + in; }"
+)
+
+
+def target_lines(program, target, seq) -> str:
+    """The lines of `replay` as one run of the campaign target gives them,
+    merged into fresh maps. The target makes no outputs, so the AST
+    interpreter gives those of the steps the target ran."""
+    r = run_target(target, seq)
+    new_branch, new_state = GlobalMaps().merge(bytearray(r.counts), r.touched, r.entries)
+    ran = r.steps + (r.status in ("error", "invalid_input"))
+    values, outputs = program.initial_values(), []
+    for sym in seq[:ran]:
+        _status, _err, values, emitted = reference_step(program, values, sym)
+        outputs += emitted
+    status = f"error({r.error_id})" if r.status == "error" else r.status
+    return (
+        f"status: {status}\nsteps: {r.steps}\noutputs: {' '.join(map(str, outputs))}\n"
+        f"new_branch_bits: {str(new_branch).lower()}\nnew_state_bits: {str(new_state).lower()}\n"
+    )
+
+
+def test_replay_lines_match_one_campaign_target_run(tmp_path, capsys):
+    """replay runs the AST interpreter, not the target: over generated
+    programs and edge inputs its lines equal those of a target run."""
+    texts = [EMITS] + [generate_source(seed=seed) for seed in range(6)]
+    texts += [generate_source(vars=2, domain=3, alphabet=3, errors=4, seed=s) for s in range(4)]
+    seen = set()
+    for n, text in enumerate(texts):
+        f = tmp_path / f"p{n}.rrp"
+        f.write_text(text)
+        p = parse_or_raise(text)
+        lo, hi = p.alphabet_lo, p.alphabet_hi
+        rnd = random.Random(n)
+        seqs = [(), (lo - 1,), (hi + 1, lo), (lo, hi + 1)]
+        # each symbol whose first step rejects or errors
+        seqs += [(sym, lo) for sym in p.alphabet()
+                 if reference_step(p, p.initial_values(), sym)[0] != "ok"]
+        seqs += [(lo,) * (DEFAULT_MAX_STEPS + 3)]
+        seqs += [tuple(rnd.randint(lo, hi) for _ in range(rnd.randint(1, 20))) for _ in range(6)]
+        g = assign_block_tags(build_cfg(p), 0)
+        target = compile_target(p, g, select_instrumentation(g))
+        for seq in seqs:
+            w = tmp_path / "input.txt"
+            w.write_text(format_input(seq))
+            code, out, err = run(capsys, "replay", str(f), str(w))
+            assert (code, err) == (0, "")
+            assert out == target_lines(p, target, seq), (n, seq[:8])
+            seen.add(out.split("\n")[0].split("(")[0])
+    assert seen == {"status: ok", "status: error", "status: invalid_input", "status: step_limit"}
 
 
 def test_oracle_lists_witnesses(tmp_path, capsys):
@@ -311,14 +392,16 @@ def test_program_too_deep_to_compile_exits_two(tmp_path, capsys, source):
     symbols.write_text("1 2\n")
     for argv in (
         ["fuzz", str(f), "--max-execs", "100", "--out", str(tmp_path / "out")],
-        ["replay", str(f), str(symbols)],
         ["oracle", str(f)],
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.startswith(f"cannot {argv[0]} {f}: "), err
-    # report generates no code, so it takes these programs: with an empty
-    # campaign, every id is UNKNOWN
+    # replay and report generate no code, so they take these programs
+    code, out, err = run(capsys, "replay", str(f), str(symbols))
+    assert (code, err) == (0, "")
+    assert out.startswith("status: ")
+    # with an empty campaign, every id is UNKNOWN
     camp = tmp_path / "camp"
     camp.mkdir()
     (camp / "stats.json").write_text('{"errors": {}}')

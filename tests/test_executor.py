@@ -5,6 +5,7 @@ import struct
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
+from runs import run_target
 
 from reachfuzz import executor
 from reachfuzz.cfg import Branch, ExitKind, Jump, assign_block_tags, build_cfg
@@ -12,11 +13,9 @@ from reachfuzz.executor import (
     BUCKET_LUT,
     DEFAULT_MAX_STEPS,
     MAP_SIZE,
-    ExecResult,
     GlobalMaps,
     compile_expand,
     compile_target,
-    run,
     state_entry,
     state_key,
 )
@@ -30,9 +29,10 @@ EXAMPLE = (
 )
 
 
-def reference_run(program, g, plan, input_seq, max_steps=DEFAULT_MAX_STEPS):
+def reference_run(program, g, plan, input_seq):
     """Reference engine: walk the CFG block by block with explicit probes.
-    Returns the ExecResult the compiled target should give, and the block
+    Returns the (status, error id, steps, counts, touched, state entries)
+    that run_target should give for the compiled target, and the block
     trace of the run."""
     if g.tags is None:
         raise ValueError("cfg carries no tag table")
@@ -44,8 +44,7 @@ def reference_run(program, g, plan, input_seq, max_steps=DEFAULT_MAX_STEPS):
 
     counts = bytearray(MAP_SIZE)
     touched: "list[int]" = []
-    keys: "list[int]" = []
-    outputs: "list[int]" = []
+    entries: "list[tuple[int, int, int]]" = []
     trace: "list[int]" = []
     prev = tags[g.entry]
     status = "ok"
@@ -53,7 +52,7 @@ def reference_run(program, g, plan, input_seq, max_steps=DEFAULT_MAX_STEPS):
     steps = 0
 
     for sym in input_seq:
-        if steps >= max_steps:
+        if steps >= DEFAULT_MAX_STEPS:
             status = "step_limit"
             break
         if sym < lo or sym > hi:
@@ -77,8 +76,6 @@ def reference_run(program, g, plan, input_seq, max_steps=DEFAULT_MAX_STEPS):
             for st in blk.stmts:
                 if isinstance(st, Assign):
                     env[st.name] = eval_expr(st.expr, env)
-                else:
-                    outputs.append(st.value)
             term = blk.term
             if isinstance(term, Jump):
                 bid = term.target
@@ -88,7 +85,7 @@ def reference_run(program, g, plan, input_seq, max_steps=DEFAULT_MAX_STEPS):
                 exited = term
         if exited.kind is ExitKind.OK:
             steps += 1
-            keys.append(state_key([env[n] for n in names]))
+            entries.append(state_entry(state_key([env[n] for n in names])))
         elif exited.kind is ExitKind.ERROR:
             status = "error"
             error_id = exited.error_id
@@ -97,16 +94,7 @@ def reference_run(program, g, plan, input_seq, max_steps=DEFAULT_MAX_STEPS):
             status = "invalid_input"
             break
 
-    result = ExecResult(
-        status=status,
-        error_id=error_id,
-        steps=steps,
-        counts=counts,
-        touched=tuple(touched),
-        state_keys=tuple(keys),
-        outputs=tuple(outputs),
-        final_values=tuple(env[n] for n in names),
-    )
+    result = (status, error_id, steps, counts, tuple(touched), tuple(entries))
     return result, tuple(trace)
 
 
@@ -116,14 +104,18 @@ def build(src_or_program, tag_seed=0):
     return p, g, select_instrumentation(g)
 
 
+def run(p, g, plan, seq):
+    """Compile the campaign target and run it once."""
+    return run_target(compile_target(p, g, plan), seq)
+
+
 def test_example_accepting_run():
     p, g, plan = build(EXAMPLE)
-    r = run(p, g, plan, [3])
-    assert r.status == "ok"
-    assert r.steps == 1
-    assert r.final_values == (2,)
-    assert r.outputs == (20,)
-    assert len(r.state_keys) == 1
+    target = compile_target(p, g, plan)
+    r = run_target(target, [3])
+    assert (r.status, r.error_id, r.steps) == ("ok", None, 1)
+    assert r.state_keys == (state_key((2,)),)
+    assert list(target.key_cache) == [(2,)]
 
 
 def test_example_out_of_alphabet_symbol():
@@ -148,7 +140,6 @@ def test_empty_input_is_accepting_noop():
     assert r.steps == 0
     assert not r.touched
     assert sum(r.counts) == 0
-    assert r.final_values == (1,)
 
 
 def test_error_statement_reports_id():
@@ -162,10 +153,10 @@ def test_error_statement_reports_id():
 
 def test_step_limit():
     p, g, plan = build("inputs 1..3; var a = 0; step(in){ a = a + 1; }")
-    r = run(p, g, plan, [1, 2, 3, 1, 2], max_steps=2)
+    r = run(p, g, plan, [1, 2, 3] * (DEFAULT_MAX_STEPS // 3 + 1))
     assert r.status == "step_limit"
-    assert r.steps == 2
-    assert r.final_values == (2,)
+    assert r.steps == DEFAULT_MAX_STEPS
+    assert r.state_keys[-1] == state_key((DEFAULT_MAX_STEPS,))
 
 
 def fnv64_reference(values):
@@ -201,7 +192,7 @@ def test_state_index_is_low_16_bits():
     g = assign_block_tags(build_cfg(p), 0)
     t = compile_target(p, g, select_instrumentation(g))
     entries: list = []
-    t.fn([3, -2, 1, 0, -3], DEFAULT_MAX_STEPS, [0] * MAP_SIZE, [], entries, {}, [])
+    t.fn([3, -2, 1, 0, -3], [0] * MAP_SIZE, [], entries, {})
     values = p.initial_values()
     assert len(entries) == 5
     for sym, (key, byte, mask) in zip([3, -2, 1, 0, -3], entries):
@@ -308,31 +299,32 @@ def test_state_recorded_only_after_completed_steps():
     assert r.state_keys[1] == state_key((2,))
 
 
+def merge(maps, r):
+    """Fold a run_target result into maps; returns (new_branch, new_state)."""
+    return maps.merge(bytearray(r.counts), r.touched, r.entries)
+
+
 def test_merge_first_then_duplicate():
     p, g, plan = build("inputs 1..2; var a = 0; step(in){ a = in; }")
     m = GlobalMaps()
     r1 = run(p, g, plan, [1])
-    rep = m.merge_and_report(r1)
-    assert rep.new_branch_bits and rep.new_state_bits
-    again = m.merge_and_report(r1)
-    assert not again.new_branch_bits and not again.new_state_bits
+    assert merge(m, r1) == (True, True)
+    assert merge(m, r1) == (False, False)
 
 
 def test_merge_state_novelty_only():
     p, g, plan = build("inputs 1..2; var a = 0; step(in){ a = in; }")
     m = GlobalMaps()
-    m.merge_and_report(run(p, g, plan, [1]))
-    rep = m.merge_and_report(run(p, g, plan, [2]))
-    assert rep.new_branch_bits is False
-    assert rep.new_state_bits is True
+    merge(m, run(p, g, plan, [1]))
+    assert merge(m, run(p, g, plan, [2])) == (False, True)
 
 
 def test_merge_branch_novelty_via_bucket_change():
     p, g, plan = build("inputs 1..2; var a = 0; step(in){ a = in; }")
     m = GlobalMaps()
-    m.merge_and_report(run(p, g, plan, [1]))
-    rep = m.merge_and_report(run(p, g, plan, [1, 1]))
-    assert rep.new_branch_bits is True
+    merge(m, run(p, g, plan, [1]))
+    new_branch, _ = merge(m, run(p, g, plan, [1, 1]))
+    assert new_branch is True
 
 
 def test_merge_commutative_and_monotone():
@@ -345,12 +337,12 @@ def test_merge_commutative_and_monotone():
     a = GlobalMaps()
     for r in runs:
         before = (a.branch_bit_count(), a.state_bit_count())
-        a.merge_and_report(r)
+        merge(a, r)
         after = (a.branch_bit_count(), a.state_bit_count())
         assert after >= before
     b = GlobalMaps()
     for r in reversed(runs):
-        b.merge_and_report(r)
+        merge(b, r)
     assert bytes(a.virgin_branch) == bytes(b.virgin_branch)
     assert bytes(a.state_bits) == bytes(b.state_bits)
     assert a.state_keys == b.state_keys
@@ -362,7 +354,7 @@ def test_state_key_cap_bounds_key_set():
     rnd = random.Random(1)
     for _ in range(20):
         seq = [rnd.randint(1, 3) for _ in range(rnd.randint(1, 30))]
-        m.merge_and_report(run(p, g, plan, seq))
+        merge(m, run(p, g, plan, seq))
     assert len(m.state_keys) <= 5
     assert m.state_bit_count() > 5
 
@@ -379,6 +371,9 @@ def test_trace_matches_projection():
 
 
 def test_compiled_and_interpreter_agree():
+    """Short runs with symbols just outside the alphabet, and runs past
+    the step bound, whose last symbol may lie outside it too."""
+    limited = 0
     for seed in range(6):
         p, g, plan = build(generate_program(seed=seed))
         # probing every block also ends steps on tags other than the entry's
@@ -386,20 +381,21 @@ def test_compiled_and_interpreter_agree():
         for plan in (plan, every_block):
             target = compile_target(p, g, plan)
             rnd = random.Random(seed + 100)
-            for _ in range(60):
-                seq = tuple(rnd.randint(p.alphabet_lo - 1, p.alphabet_hi + 1)
-                            for _ in range(rnd.randint(0, 12)))
-                max_steps = rnd.choice((0, 1, 3, DEFAULT_MAX_STEPS))
-                a = target.run(seq, max_steps)
-                b, _ = reference_run(p, g, plan, seq, max_steps)
-                assert a.status == b.status
-                assert a.error_id == b.error_id
-                assert a.steps == b.steps
-                assert a.final_values == b.final_values
-                assert a.outputs == b.outputs
-                assert a.state_keys == b.state_keys
-                assert bytes(a.counts) == bytes(b.counts)
-                assert a.touched == b.touched
+            lo, hi = p.alphabet_lo, p.alphabet_hi
+            seqs = [tuple(rnd.randint(lo - 1, hi + 1) for _ in range(rnd.randint(0, 12)))
+                    for _ in range(60)]
+            steady = [s for s in p.alphabet() if run_target(target, [s] * 5000).steps > 4000]
+            for n in (DEFAULT_MAX_STEPS, DEFAULT_MAX_STEPS + 1, DEFAULT_MAX_STEPS + 40):
+                # a symbol whose repeats run up to the bound, then one that
+                # may lie outside the alphabet, at the bound or past it
+                for sym in steady[:1]:
+                    seqs.append((sym,) * (n - 1) + (rnd.randint(lo - 1, hi + 1),))
+            for seq in seqs:
+                a = run_target(target, seq)
+                b, _ = reference_run(p, g, plan, seq)
+                assert a == b
+                limited += a.status == "step_limit"
+    assert limited == 6 * 2 * 2  # seeds x plans x runs past the bound
 
 
 def test_compiled_wraps_like_interpreter():
@@ -410,19 +406,17 @@ def test_compiled_wraps_like_interpreter():
     )
     target = compile_target(p, g, plan)
     seq = [1, 2, 3] * 8
-    a = target.run(seq)
+    a = run_target(target, seq)
     b, _ = reference_run(p, g, plan, seq)
-    assert a.status == b.status == "ok"
-    assert a.final_values == b.final_values
-    assert a.state_keys == b.state_keys
-    assert a.outputs == b.outputs
-    assert bytes(a.counts) == bytes(b.counts)
+    assert a.status == "ok"
+    assert a == b
     # a gains 16 bits a step, so it leaves the signed 64-bit range by step 4
     ref = (1, 0)
     for sym in seq:
         status, _err, ref, _outs = reference_step(p, ref, sym)
         assert status == "ok"
-    assert ref == a.final_values
+    assert a.state_keys[-1] == state_key(ref)
+    assert ref in target.key_cache
 
 
 def test_compiled_agrees_with_reference_step_composition():
@@ -433,17 +427,15 @@ def test_compiled_agrees_with_reference_step_composition():
             seq = [rnd.randint(p.alphabet_lo, p.alphabet_hi) for _ in range(rnd.randint(0, 10))]
             r = run(p, g, plan, seq)
             values = tuple(v for _, v in p.globals)
-            status, err, steps = "ok", None, 0
+            status, err, keys = "ok", None, []
             for sym in seq:
                 status, err, values, _outs = reference_step(p, values, sym)
                 if status != "ok":
                     break
-                steps += 1
+                keys.append(state_key(values))
             assert r.status == status
             assert r.error_id == err
-            assert r.steps == steps
-            if r.status == "ok":
-                assert r.final_values == values
+            assert r.state_keys == tuple(keys)
 
 
 @given(st.integers(min_value=0, max_value=80), st.randoms(use_true_random=False))
@@ -451,11 +443,7 @@ def test_compiled_agrees_with_reference_step_composition():
 def test_replay_determinism(seed, rnd):
     p, g, plan = build(generate_program(seed=seed))
     seq = [rnd.randint(p.alphabet_lo, p.alphabet_hi) for _ in range(rnd.randint(1, 20))]
-    a = run(p, g, plan, seq)
-    b = run(p, g, plan, seq)
-    assert (a.status, a.error_id, a.steps, a.final_values, a.state_keys) == (
-        b.status, b.error_id, b.steps, b.final_values, b.state_keys)
-    assert bytes(a.counts) == bytes(b.counts)
+    assert run(p, g, plan, seq) == run(p, g, plan, seq)
 
 
 M = I64_MAX
@@ -581,7 +569,7 @@ def test_wrap_tests_agree_with_reference_step():
                 keys.append(state_key(values))
                 if any(abs(v) > 2**62 for v in values):
                     near_limits.add(name)
-            r = target.run(seq)
-            assert (r.status, r.steps, r.final_values) == ("ok", len(seq), values), name
+            r = run_target(target, seq)
+            assert (r.status, r.steps) == ("ok", len(seq)), name
             assert r.state_keys == tuple(keys), name
     assert near_limits == set(WRAP_PROGRAMS) - {"dead-arms"}

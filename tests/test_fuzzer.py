@@ -6,6 +6,7 @@ import random
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
+from runs import run_target
 
 from reachfuzz.executor import BUCKET_LUT, MAP_SIZE, GlobalMaps
 from reachfuzz.frontend import parse_or_raise
@@ -231,7 +232,7 @@ def test_trim_is_idempotent_and_preserves_error():
     c = init_campaign(p, seed=0)
     t = trim(c, (1, 3, 2, 5, 5, 5))
     assert trim(c, t) == t
-    r = c.target.run(t)
+    r = run_target(c.target, t)
     assert r.status == "error" and r.error_id == 7
 
 
@@ -241,7 +242,7 @@ def test_trim_preserves_signature_on_ok_inputs():
     rnd = random.Random(2)
 
     def signature(seq):
-        r = c.target.run(seq)
+        r = run_target(c.target, seq)
         buckets = tuple(sorted((i, BUCKET_LUT[r.counts[i]]) for i in r.touched))
         return (r.status, r.error_id, buckets, frozenset(k & 0xFFFF for k in r.state_keys))
 
@@ -253,9 +254,9 @@ def test_trim_preserves_signature_on_ok_inputs():
 
 
 def merge_reference(maps, result):
-    """Reference merge of an ExecResult: every touched index through the
-    bucket table, every state key's bit at its low 16 bits, and each key
-    into the key set while it is below the cap. No shortcut."""
+    """Reference merge of a run_target result: every touched index through
+    the bucket table, every state key's bit at its low 16 bits, and each
+    key into the key set while it is below the cap. No shortcut."""
     new_branch = False
     for idx in result.touched:
         mask = BUCKET_LUT[result.counts[idx]]
@@ -279,7 +280,7 @@ def merge_reference(maps, result):
 def test_campaign_merge_matches_global_maps():
     """GlobalMaps.merge on the campaign's scratch buffers (unsaturated hit
     counts, known-key shortcut) leaves the same maps and novelty flags as
-    the reference merge of the ExecResult, with and without the key cap
+    the reference merge of the run, with and without the key cap
     reached, and leaves the hit buffer zero."""
     from reachfuzz.fuzzer import _execute_and_merge
 
@@ -288,13 +289,13 @@ def test_campaign_merge_matches_global_maps():
         for cap in (3, 10**6):
             c = init_campaign(p, seed=0)
             c.maps, ref = GlobalMaps(state_key_cap=cap), GlobalMaps(state_key_cap=cap)
-            scratch = ([0] * MAP_SIZE, [], [], [])
+            scratch = ([0] * MAP_SIZE, [], [])
             rnd = random.Random(cap)
             for _ in range(120):
                 seq = tuple(rnd.randint(p.alphabet_lo, p.alphabet_hi)
                             for _ in range(rnd.choice((1, 5, 40, 500, 700))))
                 status, err, new_branch, new_state = _execute_and_merge(c, scratch, seq)
-                r = c.target.run(seq)
+                r = run_target(c.target, seq)
                 assert (status, err) == (r.status, r.error_id)
                 assert (new_branch, new_state) == merge_reference(ref, r)
                 assert c.maps.virgin_branch == ref.virgin_branch
@@ -327,7 +328,7 @@ def test_trim_stops_on_every_budget():
         assert out == seq if extra == 0 else len(full) <= len(out) <= len(seq)
         if extra == needed:
             assert out == full
-        r = c.target.run(out)
+        r = run_target(c.target, out)
         assert (r.status, r.error_id) == ("error", 7)
 
 
@@ -365,7 +366,7 @@ def test_error_witnesses_replay():
     res = finalize(c)
     assert res.errors
     for k, rec in res.errors.items():
-        r = c.target.run(rec.witness)
+        r = run_target(c.target, rec.witness)
         assert r.status == "error" and r.error_id == k
         assert all(p.alphabet_lo <= s <= p.alphabet_hi for s in rec.witness)
 
@@ -403,9 +404,10 @@ def test_corpus_entries_all_contributed_novelty():
     res = finalize(c)
     maps = GlobalMaps()
     for t in res.corpus:
-        rep = maps.merge_and_report(c.target.run(t.input))
+        r = run_target(c.target, t.input)
+        new_branch, new_state = maps.merge(bytearray(r.counts), r.touched, r.entries)
         if t.parent is not None:
-            assert rep.new_branch_bits or rep.new_state_bits
+            assert new_branch or new_state
 
 
 def test_baseline_retention_is_branch_only():
@@ -415,9 +417,10 @@ def test_baseline_retention_is_branch_only():
     res = finalize(c)
     maps = GlobalMaps()
     for t in res.corpus:
-        rep = maps.merge_and_report(c.target.run(t.input))
+        r = run_target(c.target, t.input)
+        new_branch, _ = maps.merge(bytearray(r.counts), r.touched, r.entries)
         if t.parent is not None:
-            assert rep.new_branch_bits
+            assert new_branch
             assert t.new_branch is True
 
 

@@ -4,14 +4,13 @@ import itertools
 from collections import deque
 
 import pytest
+from runs import replay
 
 import reachfuzz.oracle
-from reachfuzz.cfg import assign_block_tags, build_cfg
-from reachfuzz.executor import _FoldGen, compile_expand, run
+from reachfuzz.executor import _FoldGen, compile_expand
 from reachfuzz.frontend import list_error_ids, parse_or_raise, reference_step
 from reachfuzz.fuzzer import fuzz_loop, init_campaign
 from reachfuzz.gen import generate_program
-from reachfuzz.instrument import select_instrumentation
 from reachfuzz.interval import TOP, Interval
 from reachfuzz.oracle import OracleResult, bfs_reachability
 
@@ -134,12 +133,6 @@ def small_programs():
         yield generate_program(vars=4, domain=8, alphabet=10, seed=seed)
 
 
-def replay(program, seq):
-    g = assign_block_tags(build_cfg(program), 0)
-    plan = select_instrumentation(g)
-    return run(program, g, plan, seq)
-
-
 def test_error_free_program_complete_and_empty():
     p = parse_or_raise("inputs 1..3; var a = 0; step(in){ a = in; }")
     res = bfs_reachability(p)
@@ -161,9 +154,7 @@ def test_witnesses_replay_to_their_error():
         p = generate_program(vars=2, domain=3, alphabet=3, errors=4, seed=seed)
         res = bfs_reachability(p, state_cap=20000)
         for k, witness in res.reachable.items():
-            r = replay(p, witness)
-            assert r.status == "error"
-            assert r.error_id == k
+            assert replay(p, witness) == ("error", k)
 
 
 def test_witnesses_are_shortest():
@@ -172,8 +163,7 @@ def test_witnesses_are_shortest():
     alphabet = range(p.alphabet_lo, p.alphabet_hi + 1)
     for n in range(len(wit)):
         for seq in itertools.product(alphabet, repeat=n):
-            r = replay(p, list(seq))
-            assert not (r.status == "error" and r.error_id == 7)
+            assert replay(p, seq) != ("error", 7)
 
 
 def test_witness_minimality_on_generated():
@@ -190,8 +180,7 @@ def test_witness_minimality_on_generated():
             shorter = False
             for n in range(len(wit)):
                 for seq in itertools.product(alphabet, repeat=n):
-                    r = replay(p, list(seq))
-                    if r.status == "error" and r.error_id == k:
+                    if replay(p, seq) == ("error", k):
                         shorter = True
                         break
                 if shorter:
@@ -230,8 +219,7 @@ def test_invalid_steps_are_not_transitions():
     res = bfs_reachability(p)
     assert res.complete is True
     assert res.reachable[3] == (1, 1)
-    r = replay(p, [2, 1, 1])
-    assert r.status == "invalid_input"
+    assert replay(p, [2, 1, 1]) == ("invalid_input", None)
 
 
 def test_explored_states_counts_distinct_valuations():
