@@ -434,10 +434,41 @@ class CompiledTarget:
     than a bytearray one), so readers clamp them at 255.
     state_entries collects one cached state_entry triple per completed
     step, so map merging needs no per-step arithmetic.
+
+    Three optional arguments follow key_cache, for a run that resumes
+    another one part way:
+    - start, the (valuation, prev tag, steps done) of a run that has
+      completed `steps done` steps, with counts, touched and
+      state_entries holding what those steps left there. The run goes on
+      from there over seq, the symbols after those steps, and extends
+      the buffers. The step limit counts the steps done, so the run
+      stops on the same step as a run from the initial state over the
+      whole input. Only seq is scanned for out-of-alphabet symbols.
+    - cut and snap: when the run completes its cut-th step (counting
+      the steps done), it sets snap, a list, to the snapshot
+      [start, touched, counts, state entries] of that point, the last
+      three copied from the buffers, counts as the hit count of each
+      touched index. A run that ends before, or that starts at or past
+      the cut, leaves snap as it is. load_snapshot readies the buffers
+      and the start for a run that resumes from a snapshot.
     """
 
     fn: "object"
     key_cache: dict = field(default_factory=dict)
+
+
+def load_snapshot(snap, counts, touched, state_entries):
+    """Load snap, a snapshot list of a CompiledTarget run, into empty
+    buffers and return the start to pass with them: None for [], the
+    initial state."""
+    if not snap:
+        return None
+    start, done_touched, done_counts, done_entries = snap
+    touched.extend(done_touched)
+    state_entries.extend(done_entries)
+    for i, n in zip(done_touched, done_counts):
+        counts[i] = n
+    return start
 
 
 def _nesting_limit(generator):
@@ -463,21 +494,29 @@ def compile_target(program: Program, g: Cfg, plan: InstrumentationPlan) -> Compi
     The valid prefix of the input is found before the step loop: C-level
     min/max settle the usual all-valid case, so steps carry no bounds or
     step-limit checks, and the loop's else clause sets the status the
-    prefix ended on. The source is generated here, not in a helper, so
-    that an else-if chain recurses through _emit_body from the same call
-    depth as in compile_expand.
+    prefix ended on. A cut that falls in the prefix ends the loop there
+    (tail None); the else clause takes the snapshot and the function
+    calls itself, from it, on the rest. So the step body is generated
+    once and at the same indentation as without a cut. The source is
+    generated here, not in a helper, so that an else-if chain recurses
+    through _emit_body from the same call depth as in compile_expand.
     """
     if g.tags is None:
         raise ValueError("cfg carries no tag table")
-    gen, _, tuple_src = _names(program)
+    gen, unpack, tuple_src = _names(program)
     lo, hi = program.alphabet_lo, program.alphabet_hi
 
     lines = [
-        "def _target(seq, m, t, sk, kc, _fnv=state_key, _entry=state_entry):",
+        "def _target(seq, m, t, sk, kc, start=None, cut=-1, snap=None,"
+        " _fnv=state_key, _entry=state_entry):",
+        "    if start is None:",
     ]
     for (name, init) in program.globals:
-        lines.append(f"    {gen.rename[name]} = {init}")
-    lines.append(f"    prev = {g.tags[g.entry]}")
+        lines.append(f"        {gen.rename[name]} = {init}")
+    lines.append(f"        prev = {g.tags[g.entry]}")
+    lines.append("        done = 0")
+    lines.append("    else:")
+    lines.append(f"        [{unpack}], prev, done = start")
     lines.append("    err = None")
     lines.append("    t_append = t.append")
     lines.append("    sk_append = sk.append")
@@ -485,8 +524,8 @@ def compile_target(program: Program, g: Cfg, plan: InstrumentationPlan) -> Compi
     lines.append("    n = len(seq)")
     lines.append("    end = n")
     lines.append("    tail = 'ok'")
-    lines.append(f"    if n > {DEFAULT_MAX_STEPS}:")
-    lines.append(f"        end = {DEFAULT_MAX_STEPS}")
+    lines.append(f"    if n > {DEFAULT_MAX_STEPS} - done:")
+    lines.append(f"        end = {DEFAULT_MAX_STEPS} - done")
     lines.append("        tail = 'step_limit'")
     lines.append(f"    if n and (min(seq) < {lo} or max(seq) > {hi}):")
     lines.append("        j = 0")
@@ -495,6 +534,9 @@ def compile_target(program: Program, g: Cfg, plan: InstrumentationPlan) -> Compi
     lines.append("        if j < end:")
     lines.append("            end = j")
     lines.append("            tail = 'invalid_input'")
+    lines.append("    if done < cut <= done + end:")
+    lines.append("        end = cut - done")
+    lines.append("        tail = None")
     lines.append("    for _s in (seq if end == n else seq[:end]):")
     last, _ = _emit_body(g, plan.instrumented, gen, lines, g.entry, None, 2)
     if last is not None and last != _DEAD:
@@ -506,6 +548,9 @@ def compile_target(program: Program, g: Cfg, plan: InstrumentationPlan) -> Compi
     lines.append("            kc[v] = e = _entry(_fnv(v))")
     lines.append("            sk_append(e)")
     lines.append("    else:")
+    lines.append("        if tail is None:")
+    lines.append("            snap[:] = ((v, prev, cut), t[:], list(map(m.__getitem__, t)), sk[:])")
+    lines.append("            return _target(seq[end:], m, t, sk, kc, snap[0])")
     lines.append("        st = tail")
     lines.append("    return st, err")
     source = "\n".join(lines) + "\n"

@@ -7,6 +7,13 @@ bit), energy bonuses for state-novel entries, signature-preserving
 trimming, and first-witness-per-error-id recording. Everything observable
 is a pure function of (program, config, seed, exec budget); wall-clock
 timings are segregated so they never touch the deterministic outputs.
+
+Trim resumes each trial from a snapshot of the run it trims: the
+compiled target starts from a (valuation, prev tag, steps done) start
+state over the symbols after those steps, and at a cut step it records
+the running state into a snapshot list (CompiledTarget describes the
+contract). A trial is still one target call and one exec, and gives the
+signature of a full run.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from .executor import (
     CompiledTarget,
     GlobalMaps,
     compile_target,
+    load_snapshot,
 )
 from .frontend import Program, list_error_ids
 from .instrument import InstrumentationPlan, select_instrumentation
@@ -256,14 +264,19 @@ def init_campaign(
     return c
 
 
-def _solo_signature(target: CompiledTarget, seq, scratch):
+def _solo_signature(target: CompiledTarget, seq, scratch, snap=None, cut=-1):
     """Behavior fingerprint of one isolated run: status, error id,
     classified branch buckets, and the touched state-map indices (as the
-    (byte, mask) pairs of the state entries)."""
+    (byte, mask) pairs of the state entries).
+
+    snap, when given, is a snapshot list of target.fn ([] for the initial
+    state): the run resumes from it over seq, the symbols after its
+    steps, and with cut it moves snap on to the run's cut-th step."""
     hits, touched, entries = scratch
     touched.clear()
     entries.clear()
-    status, err = target.fn(seq, hits, touched, entries, target.key_cache)
+    start = load_snapshot(snap, hits, touched, entries)
+    status, err = target.fn(seq, hits, touched, entries, target.key_cache, start, cut, snap)
     lut = _BUCKETS
     buckets = []
     for i in touched:
@@ -278,6 +291,13 @@ def trim(c: Campaign, seq) -> "tuple[int, ...]":
     """Drop contiguous chunks (len/16 down to single symbols) while the
     solo execution keeps the exact same classified branch map, state-index
     set, and status; one final run re-verifies the survivor.
+
+    A trial out[:pos] + out[pos+chunk:] shares its first pos symbols with
+    out, and within one chunk size pos never falls and an accepted trial
+    keeps out[:pos]. So each trial resumes from a snapshot of out's run
+    at an earlier position of the pass, and cuts a new one at pos, in the
+    same single target call that is the trial's exec. The base run and
+    the final re-verify run from the initial state.
 
     Trim executions never merge into the campaign maps: they re-cover a
     subset of an already-merged run, and polluting the virgin maps with
@@ -296,16 +316,17 @@ def trim(c: Campaign, seq) -> "tuple[int, ...]":
     chunk = max(1, len(out) // 16)
     while chunk >= 1:
         pos = 0
+        snap = []  # a snapshot of out's run at a step up to pos
         while pos < len(out):
-            trial = out[:pos] + out[pos + chunk:]
-            if not trial:
-                pos += chunk
-                continue
+            if not pos and chunk >= len(out):
+                break  # the trial would be empty
             if c.execs >= budget:
                 return tuple(out)
             c.execs += 1
-            if _solo_signature(c.target, trial, scratch) == base:
-                out = trial
+            done = snap[0][2] if snap else 0
+            trial = out[done:pos] + out[pos + chunk:]
+            if _solo_signature(c.target, trial, scratch, snap, pos) == base:
+                del out[pos:pos + chunk]
             else:
                 pos += chunk
         chunk //= 2

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from reachfuzz.executor import MAP_SIZE
+from reachfuzz.executor import MAP_SIZE, load_snapshot
 from reachfuzz.frontend import reference_step
 
 
@@ -22,11 +22,17 @@ class Run(NamedTuple):
         return tuple(key for key, _, _ in self.entries)
 
 
-def run_target(target, seq) -> Run:
+def run_target(target, seq, snap=None, cut=-1) -> Run:
     """Run target.fn on seq with fresh buffers; GlobalMaps.merge takes
-    (bytearray(run.counts), run.touched, run.entries)."""
+    (bytearray(run.counts), run.touched, run.entries).
+
+    snap, when given, is a snapshot list of target.fn ([] for the
+    initial state): the run resumes from it over seq, the symbols after
+    its steps, so the Run covers the whole input. With cut, the run moves
+    snap on to its cut-th step."""
     hits, touched, entries = [0] * MAP_SIZE, [], []
-    status, error_id = target.fn(seq, hits, touched, entries, target.key_cache)
+    start = load_snapshot(snap, hits, touched, entries)
+    status, error_id = target.fn(seq, hits, touched, entries, target.key_cache, start, cut, snap)
     counts = bytearray(MAP_SIZE)
     for i in touched:
         counts[i] = min(hits[i], 255)

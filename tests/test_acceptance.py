@@ -8,14 +8,12 @@ runtime of the whole suite (several minutes combined).
 
 from __future__ import annotations
 
-import itertools
-import json
 import random
 import time
 
 from runs import replay, run_target
 
-from reachfuzz.cfg import assign_block_tags, build_cfg, count_paths, iter_paths
+from reachfuzz.cfg import assign_block_tags, build_cfg, iter_paths
 from reachfuzz.cli import main
 from reachfuzz.executor import BUCKET_LUT, MAP_SIZE, GlobalMaps, compile_target, state_key
 from reachfuzz.frontend import parse_or_raise

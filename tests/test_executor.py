@@ -299,6 +299,96 @@ def test_state_recorded_only_after_completed_steps():
     assert r.state_keys[1] == state_key((2,))
 
 
+def snapshot(target, seq, cut) -> list:
+    """The snapshot that a run of seq takes at step cut ([] if none)."""
+    snap = []
+    run_target(target, seq, snap, cut)
+    return snap
+
+
+def check_resume(p, target, seq, cut) -> bool:
+    """A run of seq with a cut equals the full run; when it completes cut
+    steps its snapshot holds the state there, and resuming from it over
+    seq[cut:] equals the full run too. Returns whether it took one."""
+    full = run_target(target, seq)
+    snap = []
+    assert run_target(target, seq, snap, cut) == full
+    if full.steps < cut or cut <= 0:
+        assert snap == []
+        return False
+    (values, prev, steps), touched, counts, entries = snap
+    head = run_target(target, seq[:cut])
+    assert (head.status, steps) == ("ok", cut)
+    assert (touched, entries) == (list(head.touched), list(head.entries))
+    assert [min(n, 255) for n in counts] == [head.counts[i] for i in head.touched]
+    ref = p.initial_values()
+    for sym in seq[:cut]:
+        ref = reference_step(p, ref, sym)[2]
+    assert values == tuple(ref)
+    assert run_target(target, seq[cut:], snap) == full
+    return True
+
+
+def test_resumed_runs_equal_full_runs():
+    """Generated programs, family and deep-state sized, at random cuts,
+    on inputs that may leave the alphabet; a second cut moves the
+    snapshot on, as trim's catch-up over a chunk does."""
+    taken = ended = 0
+    for params, seeds in ((dict(vars=4, domain=8, alphabet=10), range(6)),
+                          (dict(vars=8, domain=16, alphabet=10), range(3, 7))):
+        for seed in seeds:
+            p, g, plan = build(generate_program(seed=seed, **params))
+            target = compile_target(p, g, plan)
+            rnd = random.Random(seed)
+            lo, hi = p.alphabet_lo, p.alphabet_hi
+            for _ in range(40):
+                seq = [rnd.randint(lo, hi) for _ in range(rnd.randint(0, 40))]
+                if rnd.random() < 0.2:
+                    seq[rnd.randrange(len(seq) + 1):0] = [rnd.choice((lo - 1, hi + 1))]
+                cut = rnd.randint(0, len(seq) + 1)
+                if not check_resume(p, target, seq, cut):
+                    ended += 0 < cut <= len(seq)
+                    continue
+                taken += 1
+                snap = snapshot(target, seq, cut)
+                later = rnd.randint(cut, len(seq) + 1)
+                moved = run_target(target, seq[cut:], snap, later)
+                assert moved == run_target(target, seq)
+                if snap[0][2] == later:
+                    assert run_target(target, seq[later:], snap) == moved
+                else:
+                    assert snap[0][2] == cut  # the run ended before the later cut
+    assert taken > 100 and ended > 10
+
+
+def test_resume_after_an_error_or_a_rejected_symbol():
+    p, g, plan = build("inputs 1..3; var a = 0; step(in){ if (in == 2) { error 9; } a = a + in; }")
+    target = compile_target(p, g, plan)
+    # the error ends the run before the cut: no snapshot
+    assert not check_resume(p, target, [1, 3, 2, 1, 1], 4)
+    assert not check_resume(p, target, [1, 3, 2, 1, 1], 3)
+    assert check_resume(p, target, [1, 3, 2, 1, 1], 2)
+    # a symbol outside the alphabet after the cut, right at it, or before it
+    for seq, cut in (([1, 1, 3, 7, 1], 2), ([1, 1, 3, 0, 1], 3)):
+        assert check_resume(p, target, seq, cut)
+        r = run_target(target, seq[cut:], snapshot(target, seq, cut))
+        assert (r.status, r.steps) == ("invalid_input", 3)
+    assert not check_resume(p, target, [1, 7, 3, 1], 2)
+
+
+def test_resume_past_step_2000_stops_on_the_step_limit():
+    p, g, plan = build("inputs 1..3; var a = 0; step(in){ a = a + in; }")
+    target = compile_target(p, g, plan)
+    rnd = random.Random(5)
+    seq = [rnd.randint(1, 3) for _ in range(DEFAULT_MAX_STEPS + 300)]
+    for cut in (2001, 3500, DEFAULT_MAX_STEPS - 1, DEFAULT_MAX_STEPS):
+        assert check_resume(p, target, seq, cut)
+        r = run_target(target, seq[cut:], snapshot(target, seq, cut))
+        assert (r.status, r.steps) == ("step_limit", DEFAULT_MAX_STEPS)
+    # a cut past the step limit is never reached
+    assert not check_resume(p, target, seq, DEFAULT_MAX_STEPS + 1)
+
+
 def merge(maps, r):
     """Fold a run_target result into maps; returns (new_branch, new_state)."""
     return maps.merge(bytearray(r.counts), r.touched, r.entries)

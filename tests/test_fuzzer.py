@@ -253,6 +253,63 @@ def test_trim_preserves_signature_on_ok_inputs():
         assert signature(out) == signature(seq)
 
 
+def trim_reference(c, seq) -> "tuple[tuple[int, ...], int]":
+    """trim with every trial a full run from the initial state, and no
+    budget: (the output, the execs it used)."""
+
+    def signature(s):
+        r = run_target(c.target, s)
+        buckets = tuple(sorted((i, BUCKET_LUT[r.counts[i]]) for i in r.touched))
+        return (r.status, r.error_id, buckets, frozenset((b, m) for _, b, m in r.entries))
+
+    base = signature(seq)
+    execs = 1
+    out = list(seq)
+    chunk = max(1, len(out) // 16)
+    while chunk >= 1:
+        pos = 0
+        while pos < len(out):
+            trial = out[:pos] + out[pos + chunk:]
+            if not trial:
+                pos += chunk
+                continue
+            execs += 1
+            if signature(trial) == base:
+                out = trial
+            else:
+                pos += chunk
+        chunk //= 2
+    execs += 1
+    return (tuple(out) if signature(out) == base else tuple(seq)), execs
+
+
+def test_trim_matches_trim_by_full_runs():
+    """trim, whose trials resume from snapshots, gives the output and uses
+    the execs of trim_reference: on family and deep-state sized programs,
+    on corpus inputs and witnesses with random symbols added, so that
+    some inputs go on after an error."""
+    after_error = 0
+    for params, seeds in ((dict(vars=4, domain=8, alphabet=10), range(10)),
+                          (dict(vars=8, domain=16, alphabet=10), range(3, 13))):
+        for seed in seeds:
+            p = generate_program(seed=seed, **params)
+            c = init_campaign(p, seed=42)
+            fuzz_loop(c, max_execs=1500)
+            c.exec_budget = None
+            rnd = random.Random(seed)
+            inputs = [w.witness for w in c.errors.values()]
+            inputs += [t.input for t in rnd.sample(c.queue, 4)]
+            for seq in inputs:
+                seq += tuple(rnd.randint(p.alphabet_lo, p.alphabet_hi)
+                             for _ in range(rnd.choice((0, 5, 60))))
+                r = run_target(c.target, seq)
+                after_error += r.status == "error" and r.steps + 1 < len(seq)
+                before = c.execs
+                out = trim(c, seq)
+                assert (out, c.execs - before) == trim_reference(c, seq)
+    assert after_error > 20
+
+
 def merge_reference(maps, result):
     """Reference merge of a run_target result: every touched index through
     the bucket table, every state key's bit at its low 16 bits, and each
