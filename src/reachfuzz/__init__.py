@@ -12,13 +12,11 @@ from .cfg import (
     Branch,
     Cfg,
     Exit,
-    ExitKind,
     Jump,
     assign_block_tags,
     build_cfg,
     count_paths,
     dump_cfg,
-    iter_paths,
 )
 from .executor import (
     BUCKET_LUT,
@@ -53,10 +51,9 @@ from .fuzzer import (
     trim,
     write_outputs,
 )
-from .gen import generate_program, generate_source
+from .gen import generate_source
 from .instrument import (
     InstrumentationPlan,
-    project_trace,
     select_instrumentation,
 )
 from .interval import Interval, IntervalSummary, analyze, input_value_pool
@@ -72,7 +69,6 @@ __all__ = [
     "Diagnostic",
     "ErrorRecord",
     "Exit",
-    "ExitKind",
     "FuzzConfig",
     "GlobalMaps",
     "InstrumentationPlan",
@@ -93,17 +89,14 @@ __all__ = [
     "dump_cfg",
     "finalize",
     "fuzz_loop",
-    "generate_program",
     "generate_source",
     "init_campaign",
     "input_value_pool",
-    "iter_paths",
     "list_error_ids",
     "mutate",
     "parse_or_raise",
     "parse_program",
     "pretty_print",
-    "project_trace",
     "reference_step",
     "schedule_energy",
     "select_instrumentation",

@@ -8,10 +8,8 @@ branch-pair is always a plain edge of the graph. Each block can carry a
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterator
 
 from .frontend import (
     Assign,
@@ -34,12 +32,6 @@ class CapacityError(Exception):
     the nesting depth that generated Python code can have."""
 
 
-class ExitKind(enum.Enum):
-    OK = "ok"
-    ERROR = "error"
-    INVALID_INPUT = "invalid_input"
-
-
 @dataclass(frozen=True)
 class Jump:
     target: int
@@ -57,7 +49,7 @@ class Branch:
 
 @dataclass(frozen=True)
 class Exit:
-    kind: ExitKind
+    kind: str  # "ok", "error" or "invalid_input", as reference_step says
     error_id: "int | None" = None
 
 
@@ -113,10 +105,10 @@ def build_cfg(program: Program) -> Cfg:
             if isinstance(st, (Assign, Emit)):
                 cur.stmts.append(st)
             elif isinstance(st, ErrorStmt):
-                cur.term = Exit(ExitKind.ERROR, st.error_id)
+                cur.term = Exit("error", st.error_id)
                 return None
             elif isinstance(st, Reject):
-                cur.term = Exit(ExitKind.INVALID_INPUT)
+                cur.term = Exit("invalid_input")
                 return None
             elif isinstance(st, If):
                 then_b = new_block()
@@ -149,10 +141,10 @@ def build_cfg(program: Program) -> Cfg:
     if end is not None:
         if end.stmts:
             exit_b = new_block()
-            exit_b.term = Exit(ExitKind.OK)
+            exit_b.term = Exit("ok")
             end.term = Jump(exit_b.id)
         else:
-            end.term = Exit(ExitKind.OK)
+            end.term = Exit("ok")
     return Cfg(blocks=blocks, entry=entry.id)
 
 
@@ -189,19 +181,6 @@ def count_paths(g: Cfg) -> int:
     return counts[g.entry]
 
 
-def iter_paths(g: Cfg) -> Iterator["tuple[int, ...]"]:
-    """Yield every entry-to-exit path as a tuple of block ids."""
-    stack = [(g.entry, (g.entry,))]
-    while stack:
-        node, path = stack.pop()
-        succs = g.blocks[node].successors()
-        if not succs:
-            yield path
-        else:
-            for s in reversed(succs):
-                stack.append((s, path + (s,)))
-
-
 def dump_cfg(g: Cfg) -> str:
     """Line-oriented text dump: `block <id> [tag] : ...` then `edge <src> <dst>`."""
     lines = []
@@ -215,10 +194,10 @@ def dump_cfg(g: Cfg) -> str:
         elif isinstance(b.term, Jump):
             parts.append(f"jump -> {b.term.target}")
         elif isinstance(b.term, Exit):
-            if b.term.kind is ExitKind.ERROR:
+            if b.term.kind == "error":
                 parts.append(f"exit error {b.term.error_id}")
             else:
-                parts.append(f"exit {b.term.kind.value}")
+                parts.append(f"exit {b.term.kind}")
         lines.append(f"block {b.id}{tag} : " + " ".join(parts))
     for src, dst in sorted(g.edges()):
         lines.append(f"edge {src} {dst}")

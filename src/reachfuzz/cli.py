@@ -56,7 +56,7 @@ def _load_program(path: str) -> "tuple[Program | None, int]":
     if isinstance(result, Program):
         return result, 0
     for diag in result:
-        print(f"{path}:{diag.render()}", file=sys.stderr)
+        print(diag.render(path), file=sys.stderr)
     return None, 1
 
 

@@ -9,11 +9,14 @@ steps within one run, so branch pairs capture cross-step sequencing.
 
 One code generator, _emit_body, turns the step body into Python in two
 places: the campaign target (program + plan + tags, instrumented) and
-the oracle's uninstrumented whole-level expander (compile_expand). The
-test suite checks both against the AST reference interpreter,
-frontend.reference_step, which also runs inputs for `replay` and
-witnesses for `report`. Neither generator makes a line for `emit`: no
-caller reads the outputs of a compiled run.
+the oracle's uninstrumented whole-level expander (compile_expand). Both
+translate expressions with one _ExprGen, which folds the branches and
+the && / || operands that interval.eval_abs decides with every global
+unknown and the input at the alphabet (the target) or at one input
+class (each body of the expander). The test suite checks both against
+the AST reference interpreter, frontend.reference_step, which also runs
+inputs for `replay` and witnesses for `report`. Neither generator makes
+a line for `emit`: no caller reads the outputs of a compiled run.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import wraps
 from operator import itemgetter
 
-from .cfg import CapacityError, Cfg, Exit, ExitKind, Jump, build_cfg
+from .cfg import CapacityError, Cfg, Exit, Jump, build_cfg
 from .frontend import I64_MAX, I64_MIN, Assign, Binary, IntLit, Name, Program, Unary, is_arith
 from .instrument import InstrumentationPlan
 from .interval import TOP, Interval, _collect_input_constants, _truth, assignment_bounds, eval_abs
@@ -129,28 +132,42 @@ def _wrap_src(inner: str) -> str:
 
 
 class _ExprGen:
-    """Translate expressions to Python source.
+    """Translate expressions to Python source, folding what an interval
+    environment decides.
 
     Arithmetic is congruent mod 2^64, so intermediate results stay
     unwrapped and a single wrap is applied where a value becomes
     observable: assignments, emits, comparison operands, truth tests.
     Names and literals are always already in wrapped form.
+
+    env maps every global and the input parameter to an Interval; a
+    condition whose interval has a definite truth value is decided, and a
+    decided operand of && or || is dropped. reads_input records whether
+    any emitted expression still names the input parameter.
     """
 
-    def __init__(self, rename: dict, bounds: dict):
+    def __init__(self, rename: dict, bounds: dict, env: dict, param: str):
         self.rename = rename
         self.bounds = bounds  # interval.assignment_bounds of the program
+        self.env = env
+        self.param = param
+        self.reads_input = False
+        self.known: dict = {}  # id of a condition -> its decision
 
     def decide(self, cond) -> "bool | None":
-        """The truth value of a branch condition when it is known at
-        compile time; the campaign target knows none."""
-        return None
+        """The truth value of a condition under env, when it has one."""
+        key = id(cond)
+        if key not in self.known:
+            self.known[key] = _truth(eval_abs(cond, self.env))
+        return self.known[key]
 
     def value(self, e) -> str:
         """Source congruent to the value mod 2^64 (may exceed i64 range)."""
         if isinstance(e, IntLit):
             return repr(e.value)
         if isinstance(e, Name):
+            if e.ident == self.param:
+                self.reads_input = True
             return self.rename[e.ident]
         if isinstance(e, Unary):
             if e.op == "-":
@@ -169,15 +186,21 @@ class _ExprGen:
         return f"({_wrap_src(self.value(e))})"
 
     def truth(self, e) -> str:
-        if isinstance(e, IntLit):
-            return "True" if e.value else "False"
+        known = self.decide(e)
+        if known is not None:
+            return repr(known)
         if isinstance(e, Unary) and e.op == "!":
             return f"(not {self.truth(e.operand)})"
         if isinstance(e, Binary):
-            if e.op == "&&":
-                return f"({self.truth(e.lhs)} and {self.truth(e.rhs)})"
-            if e.op == "||":
-                return f"({self.truth(e.lhs)} or {self.truth(e.rhs)})"
+            if e.op in ("&&", "||"):
+                # an operand equal to the operator's identity (True for &&,
+                # False for ||) does not change the result
+                identity = e.op == "&&"
+                if self.decide(e.lhs) is identity:
+                    return self.truth(e.rhs)
+                if self.decide(e.rhs) is identity:
+                    return self.truth(e.lhs)
+                return f"({self.truth(e.lhs)} {'and' if identity else 'or'} {self.truth(e.rhs)})"
             if e.op not in ("+", "-", "*"):
                 return f"({self.wrapped(e.lhs)} {e.op} {self.wrapped(e.rhs)})"
         return f"({self.wrapped(e)} != 0)"
@@ -209,65 +232,6 @@ class _ExprGen:
 
 
 _DEAD = -1  # known-prev value of a path that has left the step loop
-
-
-class _FoldGen(_ExprGen):
-    """An _ExprGen that folds what an interval environment decides.
-
-    env maps every global and the input parameter to an Interval; a
-    condition whose interval has a definite truth value is decided, and a
-    decided operand of && or || is dropped. reads_input records whether
-    any emitted expression still names the input parameter.
-    """
-
-    def __init__(self, rename: dict, bounds: dict, env: dict, param: str):
-        super().__init__(rename, bounds)
-        self.env = env
-        self.param = param
-        self.reads_input = False
-        self.known: dict = {}  # id of a condition -> its decision
-
-    def decide(self, cond) -> "bool | None":
-        key = id(cond)
-        if key not in self.known:
-            self.known[key] = self._decide(cond)
-        return self.known[key]
-
-    def _decide(self, e) -> "bool | None":
-        """_truth(eval_abs(e, env)), without evaluating the second operand
-        of a logical operator that the first one decides."""
-        if isinstance(e, Unary) and e.op == "!":
-            known = self.decide(e.operand)
-            return None if known is None else not known
-        if isinstance(e, Binary) and e.op in ("&&", "||"):
-            absorbing = e.op == "||"  # the value that decides the operator
-            lhs = self.decide(e.lhs)
-            if lhs is absorbing:
-                return absorbing
-            rhs = self.decide(e.rhs)
-            if rhs is absorbing or (lhs is not None and rhs is not None):
-                return rhs
-            return None
-        return _truth(eval_abs(e, self.env))
-
-    def value(self, e) -> str:
-        if isinstance(e, Name) and e.ident == self.param:
-            self.reads_input = True
-        return super().value(e)
-
-    def truth(self, e) -> str:
-        known = self.decide(e)
-        if known is not None:
-            return repr(known)
-        if isinstance(e, Binary) and e.op in ("&&", "||"):
-            # an operand equal to the operator's identity (True for &&,
-            # False for ||) does not change the result
-            identity = e.op == "&&"
-            if self.decide(e.lhs) is identity:
-                return self.truth(e.rhs)
-            if self.decide(e.rhs) is identity:
-                return self.truth(e.lhs)
-        return super().truth(e)
 
 
 def _probe(lines: "list[str]", pad: str, prev: "int | None", tag: int) -> None:
@@ -345,10 +309,9 @@ def _emit_body(
             bid = term.target
             continue
         if isinstance(term, Exit):
-            if term.kind is not ExitKind.OK:
+            if term.kind != "ok":
                 # ok-exits fall through to the step epilogue
-                error = term.kind is ExitKind.ERROR
-                for line in on_error if error else on_reject:
+                for line in on_error if term.kind == "error" else on_reject:
                     lines.append(pad + line.format(k=term.error_id))
                 prev = _DEAD
             break
@@ -411,13 +374,17 @@ def _emit_body(
 
 def _names(program: Program) -> "tuple[_ExprGen, str, str]":
     """Expression generator over the generated names (_g<i> for the i-th
-    global, _s for the symbol), the unpack target of a valuation and the
+    global, _s for the symbol), with every global at TOP and the input at
+    the alphabet interval; the unpack target of a valuation and the
     source of the valuation tuple."""
     rename = {name: f"_g{i}" for i, (name, _) in enumerate(program.globals)}
     rename[program.param] = "_s"
     gvars = [rename[name] for name in program.global_names()]
     unpack = "".join(v + ", " for v in gvars)
-    return _ExprGen(rename, assignment_bounds(program)), unpack, f"({unpack})"
+    env = dict.fromkeys(program.global_names(), TOP)
+    env[program.param] = Interval(program.alphabet_lo, program.alphabet_hi)
+    gen = _ExprGen(rename, assignment_bounds(program), env, program.param)
+    return gen, unpack, f"({unpack})"
 
 
 @dataclass
@@ -500,6 +467,8 @@ def compile_target(program: Program, g: Cfg, plan: InstrumentationPlan) -> Compi
     once and at the same indentation as without a cut. The source is
     generated here, not in a helper, so that an else-if chain recurses
     through _emit_body from the same call depth as in compile_expand.
+    The step body runs only for symbols of the alphabet, so a branch or
+    an operand of && or || that the alphabet decides is folded.
     """
     if g.tags is None:
         raise ValueError("cfg carries no tag table")
@@ -594,10 +563,10 @@ def compile_expand(program: Program):
     The result is True iff cap refused a new valuation.
 
     The alphabet is cut into input classes (_input_classes), and each
-    class gets its own body, folded with the input at the class interval
-    and every global unknown: a decided branch becomes its taken arm and
-    a decided operand of && or || is dropped. A class whose every path
-    rejects gets no body. Bodies that no longer name the input and have
+    class gets its own body, folded as the campaign target is but with
+    the input at the class interval: a decided branch becomes its taken
+    arm and a decided operand of && or || is dropped. A class whose
+    every path rejects gets no body. Bodies that no longer name the input and have
     the same text are merged and run once, for their smallest symbol; a
     body that still names the input runs for each symbol of its class.
     The bodies run in the order of their smallest symbol, so appends,
@@ -618,13 +587,12 @@ def compile_expand(program: Program):
         f"{pad}    else:",
         f"{pad}        full = True",
     ]
-    unknown = {name: TOP for name in program.global_names()}
     classes: "list[tuple[int, ...]]" = []
     bodies: "list[list[str]]" = []
     merged: set = set()
     for run in _input_classes(program):
-        env = dict(unknown, **{program.param: Interval(run.start, run.stop - 1)})
-        fold = _FoldGen(gen.rename, gen.bounds, env, program.param)
+        env = dict(gen.env, **{program.param: Interval(run.start, run.stop - 1)})
+        fold = _ExprGen(gen.rename, gen.bounds, env, program.param)
         body = [f"{pad}{unpack}= values"] if unpack else []
         end, _ = _emit_body(
             g, frozenset(), fold, body, g.entry, None, 3,

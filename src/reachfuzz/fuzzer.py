@@ -411,12 +411,16 @@ def parse_input_text(text: str) -> "tuple[int, ...]":
 
 def write_outputs(result: CampaignResult, out_dir) -> None:
     """Materialize a campaign: queue/id_<n>.txt, errors/error_<k>.txt,
-    stats.json (deterministic) and timing.json (wall clock)."""
+    stats.json (deterministic) and timing.json (wall clock). The queue
+    and witness files of an earlier campaign in out_dir are deleted
+    first; no other file is."""
     out = Path(out_dir)
     queue_dir = out / "queue"
     errors_dir = out / "errors"
     queue_dir.mkdir(parents=True, exist_ok=True)
     errors_dir.mkdir(parents=True, exist_ok=True)
+    for stale in [*queue_dir.glob("id_*.txt"), *errors_dir.glob("error_*.txt")]:
+        stale.unlink()
     for n, case in enumerate(result.corpus):
         (queue_dir / f"id_{n}.txt").write_text(format_input(case.input))
     for k in sorted(result.errors):

@@ -28,7 +28,6 @@ from .frontend import (
     Name,
     Program,
     Reject,
-    parse_or_raise,
     pretty_print,
 )
 
@@ -291,24 +290,3 @@ def generate_source(
         body=tuple(body),
     )
     return pretty_print(program)
-
-
-def generate_program(
-    vars: int = DEFAULT_VARS,
-    domain: int = DEFAULT_DOMAIN,
-    alphabet: int = DEFAULT_ALPHABET,
-    depth: int = DEFAULT_DEPTH,
-    errors: int = DEFAULT_ERRORS,
-    seed: int = 0,
-) -> Program:
-    """Generate and reparse, so the result went through full validation."""
-    return parse_or_raise(
-        generate_source(
-            vars=vars,
-            domain=domain,
-            alphabet=alphabet,
-            depth=depth,
-            errors=errors,
-            seed=seed,
-        )
-    )

@@ -38,11 +38,6 @@ class InstrumentationPlan:
     adequacy_certificate: str
 
 
-def project_trace(trace, s) -> "tuple[int, ...]":
-    """Order-preserving restriction of a block-id sequence to the set s."""
-    return tuple(b for b in trace if b in s)
-
-
 def select_instrumentation(g: Cfg) -> InstrumentationPlan:
     """Probe the entry and the then-block of every branch of g, which must
     come from `build_cfg` (the module docstring gives why that set is

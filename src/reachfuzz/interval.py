@@ -236,21 +236,16 @@ def eval_abs(e, env: dict) -> Interval:
         t = _truth(inner)
         return _bool_iv(None if t is None else not t)
     op = e.op
-    if op == "&&":
+    if op in ("&&", "||"):
+        # the right operand is evaluated only when the left one does not
+        # decide the result: False decides &&, True decides ||
+        absorbing = op == "||"
         ta = _truth(eval_abs(e.lhs, env))
+        if ta is absorbing:
+            return _bool_iv(ta)
         tb = _truth(eval_abs(e.rhs, env))
-        if ta is False or tb is False:
-            return ZERO
-        if ta is True and tb is True:
-            return ONE
-        return ZERO_ONE
-    if op == "||":
-        ta = _truth(eval_abs(e.lhs, env))
-        tb = _truth(eval_abs(e.rhs, env))
-        if ta is True or tb is True:
-            return ONE
-        if ta is False and tb is False:
-            return ZERO
+        if tb is absorbing or (ta is not None and tb is not None):
+            return _bool_iv(tb)
         return ZERO_ONE
     a = eval_abs(e.lhs, env)
     b = eval_abs(e.rhs, env)

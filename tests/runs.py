@@ -1,12 +1,39 @@
-"""Runs for the tests: of a compiled campaign target on fresh buffers,
-and of the AST interpreter, the independent judge."""
+"""Helpers for the tests: runs of a compiled campaign target on fresh
+buffers and of the AST interpreter, the independent judge; generated
+programs; and the entry-to-exit paths of a CFG with their projections."""
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
+from reachfuzz.cfg import Cfg
 from reachfuzz.executor import MAP_SIZE, load_snapshot
-from reachfuzz.frontend import reference_step
+from reachfuzz.frontend import Program, parse_or_raise, reference_step
+from reachfuzz.gen import generate_source
+
+
+def generate_program(**params) -> Program:
+    """generate_source(**params), parsed, so the result went through full
+    validation."""
+    return parse_or_raise(generate_source(**params))
+
+
+def iter_paths(g: Cfg) -> Iterator["tuple[int, ...]"]:
+    """Yield every entry-to-exit path as a tuple of block ids."""
+    stack = [(g.entry, (g.entry,))]
+    while stack:
+        node, path = stack.pop()
+        succs = g.blocks[node].successors()
+        if not succs:
+            yield path
+        else:
+            for s in reversed(succs):
+                stack.append((s, path + (s,)))
+
+
+def project_trace(trace, s) -> "tuple[int, ...]":
+    """Order-preserving restriction of a block-id sequence to the set s."""
+    return tuple(b for b in trace if b in s)
 
 
 class Run(NamedTuple):

@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 import time
 
-from runs import replay, run_target
+from runs import generate_program, iter_paths, project_trace, replay, run_target
 
-from reachfuzz.cfg import assign_block_tags, build_cfg, iter_paths
+from reachfuzz.cfg import assign_block_tags, build_cfg
 from reachfuzz.cli import main
 from reachfuzz.executor import BUCKET_LUT, MAP_SIZE, GlobalMaps, compile_target, state_key
 from reachfuzz.frontend import parse_or_raise
@@ -25,8 +25,7 @@ from reachfuzz.fuzzer import (
     parse_input_text,
     write_outputs,
 )
-from reachfuzz.gen import generate_program
-from reachfuzz.instrument import project_trace, select_instrumentation
+from reachfuzz.instrument import select_instrumentation
 from reachfuzz.interval import Interval, abstract_step, analyze
 from reachfuzz.oracle import bfs_reachability
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
+from runs import generate_program, iter_paths
 
 from reachfuzz.cfg import (
     BasicBlock,
@@ -9,16 +10,13 @@ from reachfuzz.cfg import (
     CapacityError,
     Cfg,
     Exit,
-    ExitKind,
     Jump,
     assign_block_tags,
     build_cfg,
     count_paths,
     dump_cfg,
-    iter_paths,
 )
 from reachfuzz.frontend import parse_or_raise, reference_step
-from reachfuzz.gen import generate_program
 from test_oracle import else_if_chain
 
 STRAIGHT = "inputs 1..2; var a = 0; var b = 0; step(in){ a = 1; b = 2; }"
@@ -48,7 +46,7 @@ def test_straight_line_shape():
     assert len(edges_of(g)) == 1
     assert isinstance(g.blocks[g.entry].term, Jump)
     exits = [b for b in g.blocks if isinstance(b.term, Exit)]
-    assert len(exits) == 1 and exits[0].term.kind is ExitKind.OK
+    assert len(exits) == 1 and exits[0].term.kind == "ok"
 
 
 def test_diamond_shape():
@@ -127,7 +125,7 @@ def chain_cfg(n, seed=0):
     blocks = []
     for i in range(n - 1):
         blocks.append(BasicBlock(i, (), Jump(i + 1)))
-    blocks.append(BasicBlock(n - 1, (), Exit(ExitKind.OK, None)))
+    blocks.append(BasicBlock(n - 1, (), Exit("ok", None)))
     return assign_block_tags(Cfg(tuple(blocks), 0, ()), seed)
 
 
@@ -143,7 +141,7 @@ def test_tags_deterministic_and_distinct():
 
 def test_tags_capacity_error():
     blocks = [BasicBlock(i, (), Jump(i + 1)) for i in range(65537 - 1)]
-    blocks.append(BasicBlock(65536, (), Exit(ExitKind.OK, None)))
+    blocks.append(BasicBlock(65536, (), Exit("ok", None)))
     try:
         assign_block_tags(Cfg(tuple(blocks), 0, ()), 0)
     except CapacityError:
@@ -196,11 +194,7 @@ def walk_cfg_step(program, g, values, symbol):
         t = block.term
         if isinstance(t, Exit):
             final = tuple(env[name] for name, _ in program.globals)
-            if t.kind is ExitKind.OK:
-                return ("ok", None, final, outputs)
-            if t.kind is ExitKind.ERROR:
-                return ("error", t.error_id, final, outputs)
-            return ("invalid_input", None, final, outputs)
+            return (t.kind, t.error_id, final, outputs)
         if isinstance(t, Jump):
             cur = t.target
         else:

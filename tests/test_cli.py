@@ -73,8 +73,8 @@ def test_check_invalid_program_exit_one(tmp_path, capsys):
     f = tmp_path / "bad.rrp"
     f.write_text(BAD)
     code, out, err = run(capsys, "check", str(f))
-    assert code == 1
-    assert "duplicate declaration" in out + err
+    # the file name comes once, in place of render's "<input>"
+    assert (code, out, err) == (1, "", f"{f}:1:29: error: duplicate declaration a\n")
 
 
 def test_check_missing_file_exit_two(capsys):
@@ -113,6 +113,28 @@ def test_fuzz_writes_campaign_and_summary(tmp_path, capsys):
     stats = json.loads((out_dir / "stats.json").read_text())
     assert stats["execs"] >= 800
     assert (out_dir / "timing.json").exists()
+
+
+def test_fuzz_into_an_earlier_campaign_leaves_only_its_own_files(tmp_path, capsys):
+    f = tmp_path / "p.rrp"
+    f.write_text(generate_source(seed=3))
+    out_dir = tmp_path / "camp"
+    corpus_sizes = []
+    for budget in ("5000", "10"):
+        code, _, _ = run(capsys, "fuzz", str(f), "--seed", "1",
+                         "--max-execs", budget, "--out", str(out_dir))
+        assert code == 0
+        stats = json.loads((out_dir / "stats.json").read_text())
+        corpus_sizes.append(stats["corpus_size"])
+        if budget == "5000":
+            assert stats["errors"]
+            (out_dir / "queue" / "notes.txt").write_text("not a queue entry")
+    # the second campaign is smaller: none of the first one's files stay
+    assert corpus_sizes[0] > corpus_sizes[1]
+    queue = sorted(p.name for p in (out_dir / "queue").iterdir())
+    errors = sorted(p.name for p in (out_dir / "errors").iterdir())
+    assert queue == sorted([f"id_{n}.txt" for n in range(corpus_sizes[1])] + ["notes.txt"])
+    assert errors == sorted(f"error_{k}.txt" for k in stats["errors"])
 
 
 def test_fuzz_budget_zero_reports_seeding(tmp_path, capsys):

@@ -5,10 +5,10 @@ import struct
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
-from runs import run_target
+from runs import generate_program, project_trace, replay, run_target
 
 from reachfuzz import executor
-from reachfuzz.cfg import Branch, ExitKind, Jump, assign_block_tags, build_cfg
+from reachfuzz.cfg import Branch, Jump, assign_block_tags, build_cfg
 from reachfuzz.executor import (
     BUCKET_LUT,
     DEFAULT_MAX_STEPS,
@@ -20,8 +20,7 @@ from reachfuzz.executor import (
     state_key,
 )
 from reachfuzz.frontend import I64_MAX, Assign, eval_expr, parse_or_raise, reference_step
-from reachfuzz.gen import generate_program
-from reachfuzz.instrument import InstrumentationPlan, project_trace, select_instrumentation
+from reachfuzz.instrument import InstrumentationPlan, select_instrumentation
 
 EXAMPLE = (
     "inputs 1..5; var a = 1; "
@@ -83,10 +82,10 @@ def reference_run(program, g, plan, input_seq):
                 bid = term.then_id if eval_expr(term.cond, env) != 0 else term.else_id
             else:
                 exited = term
-        if exited.kind is ExitKind.OK:
+        if exited.kind == "ok":
             steps += 1
             entries.append(state_entry(state_key([env[n] for n in names])))
-        elif exited.kind is ExitKind.ERROR:
+        elif exited.kind == "error":
             status = "error"
             error_id = exited.error_id
             break
@@ -586,15 +585,19 @@ WRAP_PROGRAMS = {
 }
 
 
+def target_source(monkeypatch, p, g, plan) -> str:
+    """The source that compile_target generates."""
+    sources = []
+    monkeypatch.setattr(executor, "_compile", lambda source, *args: sources.append(source))
+    compile_target(p, g, plan)
+    monkeypatch.undo()
+    return sources[0]
+
+
 def wrap_tests(monkeypatch, text: str) -> "list[str]":
     """The wrap test after each arithmetic assignment of the campaign
     target's source, in order: "top", "bottom", "both" or "none"."""
-    sources = []
-    monkeypatch.setattr(executor, "_compile", lambda source, *args: sources.append(source))
-    p, g, plan = build(text)
-    compile_target(p, g, plan)
-    monkeypatch.undo()
-    lines = sources[0].splitlines() + [""]
+    lines = target_source(monkeypatch, *build(text)).splitlines() + [""]
     sides = []
     for line, nxt in zip(lines, lines[1:]):
         # an arithmetic value is parenthesised; its wrap starts with "((("
@@ -613,8 +616,9 @@ def test_wrap_tests_only_where_the_bound_escapes(monkeypatch):
         "escaping-constant": ["top", "bottom", "top"],
         "unguarded-double": ["both", "both"],
         "equal-assignments": ["bottom", "none"],
-        # the two dead arms, then a + in, then 0 - a under a > 100
-        "dead-arms": ["both", "both", "top", "none"],
+        # the alphabet folds in > 5 away; then the dead arm under a < 0,
+        # a + in, and 0 - a under a > 100
+        "dead-arms": ["both", "top", "none"],
     }
     for name, text in WRAP_PROGRAMS.items():
         assert wrap_tests(monkeypatch, text) == want[name], name
@@ -622,6 +626,29 @@ def test_wrap_tests_only_where_the_bound_escapes(monkeypatch):
     assert wrap_tests(
         monkeypatch, "inputs 1..2; var c = 0; step(in){ if (c < 9) { c = c + 1; } }"
     ) == ["none"]
+
+
+def test_target_folds_what_the_alphabet_decides(monkeypatch):
+    """A branch that no symbol of the alphabet takes has no source line,
+    a decided operand of && is dropped, and runs still match the CFG
+    walk and reference_step."""
+    p, g, plan = build(
+        "inputs 1..3; var a = 0; step(in){ "
+        "if (in > 5) { a = 77; error 9; } "
+        "if (a == 2 && in < 9) { a = 0; error 1; } "
+        "if (in == 2) { a = a + 1; } }"
+    )
+    source = target_source(monkeypatch, p, g, plan)
+    assert "_g0 = 77" not in source and "err = 9" not in source and "_s > 5" not in source
+    assert "if (_g0 == 2):" in source and "_s < 9" not in source
+    assert "if (_s == 2):" in source
+    target = compile_target(p, g, plan)
+    rnd = random.Random(9)
+    for _ in range(200):
+        seq = [rnd.randint(0, 4) for _ in range(rnd.randint(0, 8))]
+        r = run_target(target, seq)
+        assert r == reference_run(p, g, plan, seq)[0]
+        assert (r.status, r.error_id) == replay(p, seq)
 
 
 def test_wrap_tests_agree_with_reference_step():

@@ -6,7 +6,7 @@ import random
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
-from runs import run_target
+from runs import generate_program, run_target
 
 from reachfuzz.executor import BUCKET_LUT, MAP_SIZE, GlobalMaps
 from reachfuzz.frontend import parse_or_raise
@@ -27,7 +27,6 @@ from reachfuzz.fuzzer import (
     trim,
     write_outputs,
 )
-from reachfuzz.gen import generate_program
 
 ERROR_ON_TWO = "inputs 1..5; var a = 0; step(in){ if (in == 2) { error 7; } a = in; }"
 

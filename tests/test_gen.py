@@ -2,10 +2,11 @@ from __future__ import annotations
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
+from runs import generate_program
 
 from reachfuzz.cfg import build_cfg
 from reachfuzz.frontend import Program, list_error_ids, parse_program
-from reachfuzz.gen import generate_program, generate_source
+from reachfuzz.gen import generate_source
 from reachfuzz.oracle import bfs_reachability
 
 

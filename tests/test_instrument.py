@@ -4,11 +4,11 @@ import itertools
 
 import hypothesis.strategies as st
 from hypothesis import assume, given, settings
+from runs import generate_program, iter_paths, project_trace
 
-from reachfuzz.cfg import Branch, build_cfg, count_paths, iter_paths
+from reachfuzz.cfg import Branch, build_cfg, count_paths
 from reachfuzz.frontend import parse_or_raise
-from reachfuzz.gen import generate_program
-from reachfuzz.instrument import project_trace, select_instrumentation
+from reachfuzz.instrument import select_instrumentation
 
 DIAMOND = "inputs 1..5; var a = 0; step(in){ if (in == 3) { a = 2; } else { a = 1; } }"
 TWO_DIAMONDS = (

@@ -4,9 +4,18 @@ import random
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
+from runs import generate_program
 
-from reachfuzz.frontend import I64_MAX, I64_MIN, Assign, parse_or_raise, reference_step, walk_stmts
-from reachfuzz.gen import generate_program
+from reachfuzz.frontend import (
+    I64_MAX,
+    I64_MIN,
+    Assign,
+    Binary,
+    Name,
+    parse_or_raise,
+    reference_step,
+    walk_stmts,
+)
 from reachfuzz.interval import (
     EMPTY,
     INF,
@@ -177,6 +186,32 @@ def test_eval_abs_mixes_env_and_literals():
     expr = p.body[0].expr
     env = {"a": Interval(0, 2), "in": Interval(1, 5)}
     assert eval_abs(expr, env) == Interval(1, 7)
+
+
+def test_eval_abs_logic_with_one_operand_decided():
+    p = parse_or_raise(
+        "inputs 1..5; var a = 0; step(in){ a = in > 9; a = in < 9; a = a == 1; }"
+    )
+    no, yes, unknown = (st.expr for st in p.body)
+    env = {"a": Interval(0, 9), "in": Interval(1, 5)}
+    zero, one, either = Interval(0, 0), Interval(1, 1), Interval(0, 1)
+    for op, lhs, rhs, want in [
+        ("&&", no, unknown, zero),
+        ("&&", unknown, no, zero),
+        ("&&", yes, unknown, either),
+        ("&&", unknown, yes, either),
+        ("&&", yes, yes, one),
+        ("||", yes, unknown, one),
+        ("||", unknown, yes, one),
+        ("||", no, unknown, either),
+        ("||", unknown, no, either),
+        ("||", no, no, zero),
+    ]:
+        assert eval_abs(Binary(op, lhs, rhs), env) == want, (op, lhs, rhs)
+    # a left operand that decides the result leaves the right one
+    # unevaluated: here it names a variable that env does not hold
+    assert eval_abs(Binary("&&", no, Name("b")), env) == zero
+    assert eval_abs(Binary("||", yes, Name("b")), env) == one
 
 
 def alphabet_interval(p):

@@ -4,13 +4,12 @@ import itertools
 from collections import deque
 
 import pytest
-from runs import replay
+from runs import generate_program, replay
 
 import reachfuzz.oracle
-from reachfuzz.executor import _FoldGen, compile_expand
+from reachfuzz.executor import _ExprGen, _names, compile_expand
 from reachfuzz.frontend import list_error_ids, parse_or_raise, reference_step
 from reachfuzz.fuzzer import fuzz_loop, init_campaign
-from reachfuzz.gen import generate_program
 from reachfuzz.interval import TOP, Interval
 from reachfuzz.oracle import OracleResult, bfs_reachability
 
@@ -338,7 +337,16 @@ def test_fold_drops_decided_operands():
         (1, 4): "(((_s < 3) and (_g0 == 0)) or ((_s == 4) and (_g0 == 1)))",
     }.items():
         env = {"a": TOP, "in": Interval(lo, hi)}
-        assert _FoldGen({"a": "_g0", "in": "_s"}, {}, env, "in").truth(cond) == want
+        assert _ExprGen({"a": "_g0", "in": "_s"}, {}, env, "in").truth(cond) == want
+    # the campaign target's generator: every global unknown, the input at
+    # the whole alphabet, which decides in < 5 and in == 9 here
+    p = parse_or_raise(
+        "inputs 1..4; var a = 0; step(in){ if (in < 5 && a == 0 || in == 9 || a == in) { a = 1; } }"
+    )
+    gen = _names(p)[0]
+    assert gen.env == {"a": TOP, "in": Interval(1, 4)}
+    assert gen.truth(p.body[0].cond) == "((_g0 == 0) or (_g0 == _s))"
+    assert gen.reads_input
 
 
 def test_expander_reports_a_refused_state():
