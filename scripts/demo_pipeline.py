@@ -18,7 +18,7 @@ from pathlib import Path
 
 from reachfuzz.cfg import assign_block_tags, build_cfg, count_paths
 from reachfuzz.frontend import list_error_ids, parse_or_raise
-from reachfuzz.fuzzer import finalize, fuzz_loop, init_campaign, write_outputs
+from reachfuzz.fuzzer import fuzz_loop, init_campaign, write_outputs
 from reachfuzz.gen import generate_source
 from reachfuzz.instrument import select_instrumentation
 from reachfuzz.interval import analyze
@@ -55,27 +55,25 @@ def main() -> int:
     print(f"  input constants: {sorted(summary.input_constants) or 'none'}")
 
     print("\n== campaign ==")
-    campaign = init_campaign(program, seed=args.fuzz_seed)
-    fuzz_loop(campaign, max_execs=args.budget)
-    result = finalize(campaign)
+    c = fuzz_loop(init_campaign(program, seed=args.fuzz_seed), max_execs=args.budget)
     out_dir = args.out or Path(tempfile.mkdtemp(prefix="demo_campaign_"))
-    write_outputs(result, out_dir)
-    print(f"{result.execs} execs, {len(result.corpus)} corpus entries, "
-          f"{result.branch_bits} branch bits, {result.state_bits} state bits")
+    write_outputs(c, out_dir)
+    print(f"{c.execs} execs, {len(c.queue)} corpus entries, "
+          f"{c.maps.branch_bit_count()} branch bits, {c.maps.state_bit_count()} state bits")
     print(f"campaign written to {out_dir}")
 
     print("\n== oracle cross-check ==")
     oracle = bfs_reachability(program, state_cap=10**5)
     print(f"explored {oracle.explored_states} states "
           f"({'complete' if oracle.complete else 'capped'})")
-    agreed = sum(1 for k in result.errors if k in oracle.reachable)
-    print(f"fuzzer found {len(result.errors)} error ids, "
+    agreed = sum(1 for k in c.errors if k in oracle.reachable)
+    print(f"fuzzer found {len(c.errors)} error ids, "
           f"{agreed} confirmed reachable, "
           f"{len(oracle.reachable) - agreed} reachable but missed")
 
     print("\n== verdicts ==")
     for k in sorted(list_error_ids(program)):
-        verdict = "error_reachable" if k in result.errors else "UNKNOWN"
+        verdict = "error_reachable" if k in c.errors else "UNKNOWN"
         print(f"{k},{verdict}")
     return 0
 

@@ -38,12 +38,10 @@ from .frontend import (
 )
 from .fuzzer import (
     Campaign,
-    CampaignResult,
     ErrorRecord,
     FuzzConfig,
     TestCase,
     baseline_config,
-    finalize,
     fuzz_loop,
     init_campaign,
     mutate,
@@ -63,7 +61,6 @@ __all__ = [
     "BUCKET_LUT",
     "Branch",
     "Campaign",
-    "CampaignResult",
     "Cfg",
     "CompiledTarget",
     "Diagnostic",
@@ -87,7 +84,6 @@ __all__ = [
     "compile_target",
     "count_paths",
     "dump_cfg",
-    "finalize",
     "fuzz_loop",
     "generate_source",
     "init_campaign",

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 invalid program, 2 I/O or capacity trouble, a
 malformed input or campaign file, or a non-positive `gen` parameter.
-Input and witness files are whitespace-separated ASCII decimal symbols.
+Input and witness files are ASCII decimal symbols, -?[0-9]+, separated
+by ASCII whitespace, and the error ids that key the witnesses of
+stats.json are ASCII decimal too.
 `replay` and `report` run inputs through the AST interpreter
 (frontend.reference_step), not generated code, so they take programs
 that nest too deeply to compile.
@@ -23,6 +25,7 @@ from .fuzzer import (
     baseline_config,
     fuzz_loop,
     init_campaign,
+    parse_decimal,
     parse_input_text,
     write_outputs,
 )
@@ -135,14 +138,14 @@ def cmd_fuzz(args) -> int:
     max_execs = args.max_execs
     if max_execs is None and args.max_seconds is None:
         max_execs = 10**5
-    campaign = init_campaign(program, config, seed=args.seed, max_execs=max_execs)
-    result = fuzz_loop(campaign, max_execs=max_execs, max_seconds=args.max_seconds)
+    c = init_campaign(program, config, seed=args.seed, max_execs=max_execs)
+    fuzz_loop(c, max_execs=max_execs, max_seconds=args.max_seconds)
     try:
-        write_outputs(result, args.out)
+        write_outputs(c, args.out)
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
-    print(f"found {result.found_count}/{result.total_error_ids} errors in {result.execs} execs")
+    print(f"found {len(c.errors)}/{len(c.all_error_ids)} errors in {c.execs} execs")
     return 0
 
 
@@ -214,7 +217,7 @@ def _witnesses(stats) -> "dict[int, tuple[int, ...]]":
     found = {}
     for key, record in records.items():
         try:
-            k = int(key)
+            k = parse_decimal(key)
         except ValueError:
             raise ValueError(f"error id {key!r} is not an integer") from None
         witness = record.get("witness") if isinstance(record, dict) else None

@@ -155,11 +155,28 @@ class _ExprGen:
         self.known: dict = {}  # id of a condition -> its decision
 
     def decide(self, cond) -> "bool | None":
-        """The truth value of a condition under env, when it has one."""
+        """The truth value of a condition under env, when it has one:
+        _truth(eval_abs(cond, env)). A !, && or || takes it from its
+        operands' decisions by eval_abs's truth table, so a chain of n
+        operands is evaluated once, not n times."""
         key = id(cond)
-        if key not in self.known:
-            self.known[key] = _truth(eval_abs(cond, self.env))
-        return self.known[key]
+        if key in self.known:
+            return self.known[key]
+        if isinstance(cond, Unary) and cond.op == "!":
+            t = self.decide(cond.operand)
+            t = None if t is None else not t
+        elif isinstance(cond, Binary) and cond.op in ("&&", "||"):
+            # the right operand counts only when the left one does not
+            # decide the result: False decides &&, True decides ||
+            absorbing = cond.op == "||"
+            t = self.decide(cond.lhs)
+            if t is not absorbing:
+                tb = self.decide(cond.rhs)
+                t = tb if tb is absorbing or (t is not None and tb is not None) else None
+        else:
+            t = _truth(eval_abs(cond, self.env))
+        self.known[key] = t
+        return t
 
     def value(self, e) -> str:
         """Source congruent to the value mod 2^64 (may exceed i64 range)."""

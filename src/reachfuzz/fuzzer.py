@@ -19,6 +19,7 @@ signature of a full run.
 from __future__ import annotations
 
 import json
+import re
 import time
 from dataclasses import dataclass, field
 from math import floor, inf
@@ -66,8 +67,11 @@ def baseline_config() -> FuzzConfig:
 
 @dataclass(frozen=True)
 class TestCase:
+    """A queue entry. Its index in Campaign.queue names it: parent is the
+    index of the entry it was mutated from (None for a seed), and
+    write_outputs writes it to queue/id_<index>.txt."""
+
     input: "tuple[int, ...]"
-    id: int
     parent: "int | None"
     new_branch: bool
     new_state: bool
@@ -83,7 +87,14 @@ class ErrorRecord:
 
 @dataclass
 class Campaign:
-    program: Program
+    """One campaign's pipeline state and everything it has found.
+
+    init_campaign builds it and runs the seeds; fuzz_loop runs it on and
+    returns it, with elapsed_seconds set. scratch holds the run buffers
+    (hit counts, touched indices, state entries) that every run of the
+    campaign, trim's included, reuses: each run leaves the hit counts
+    zero."""
+
     cfg: Cfg
     plan: InstrumentationPlan
     summary: IntervalSummary
@@ -98,21 +109,10 @@ class Campaign:
     pool_values: "tuple[int, ...]" = ()
     start_time: float = 0.0
     exec_budget: "int | None" = None  # fuzz_loop's max_execs, which trim keeps to
-
-
-@dataclass(frozen=True)
-class CampaignResult:
-    execs: int
-    corpus: "tuple[TestCase, ...]"
-    errors: "dict[int, ErrorRecord]"
-    branch_bits: int
-    state_bits: int
-    total_error_ids: int
-    elapsed_seconds: float
-
-    @property
-    def found_count(self) -> int:
-        return len(self.errors)
+    elapsed_seconds: float = 0.0  # from start_time to fuzz_loop's return
+    scratch: tuple = field(
+        init=False, repr=False, compare=False, default_factory=lambda: ([0] * MAP_SIZE, [], [])
+    )
 
 
 # --- mutation -------------------------------------------------------------
@@ -183,10 +183,10 @@ def _flat_pool(summary: IntervalSummary, program: Program, config: FuzzConfig) -
     return tuple(flat)
 
 
-def _execute_and_merge(c: Campaign, scratch, candidate) -> "tuple[str, int | None, bool, bool]":
+def _execute_and_merge(c: Campaign, candidate) -> "tuple[str, int | None, bool, bool]":
     """Run one candidate on the compiled target and merge its coverage into
     the campaign maps. Returns (status, error_id, new_branch, new_state)."""
-    hits, touched, entries = scratch
+    hits, touched, entries = c.scratch
     touched.clear()
     entries.clear()
     status, err = c.target.fn(candidate, hits, touched, entries, c.target.key_cache)
@@ -222,7 +222,6 @@ def init_campaign(
     summary = analyze(program)
     target = compile_target(program, g, plan)
     c = Campaign(
-        program=program,
         cfg=g,
         plan=plan,
         summary=summary,
@@ -246,15 +245,13 @@ def init_campaign(
 
     if max_execs is not None:
         seeds = seeds[:max(max_execs, 0)]
-    scratch = ([0] * MAP_SIZE, [], [])
     for s in seeds:
-        status, err, new_branch, new_state = _execute_and_merge(c, scratch, s)
+        status, err, new_branch, new_state = _execute_and_merge(c, s)
         if status == "error":
             _record_error(c, err, s)
         c.queue.append(
             TestCase(
                 input=s,
-                id=len(c.queue),
                 parent=None,
                 new_branch=new_branch,
                 new_state=new_state,
@@ -264,7 +261,7 @@ def init_campaign(
     return c
 
 
-def _solo_signature(target: CompiledTarget, seq, scratch, snap=None, cut=-1):
+def _solo_signature(c: Campaign, seq, snap=None, cut=-1):
     """Behavior fingerprint of one isolated run: status, error id,
     classified branch buckets, and the touched state-map indices (as the
     (byte, mask) pairs of the state entries).
@@ -272,11 +269,11 @@ def _solo_signature(target: CompiledTarget, seq, scratch, snap=None, cut=-1):
     snap, when given, is a snapshot list of target.fn ([] for the initial
     state): the run resumes from it over seq, the symbols after its
     steps, and with cut it moves snap on to the run's cut-th step."""
-    hits, touched, entries = scratch
+    hits, touched, entries = c.scratch
     touched.clear()
     entries.clear()
     start = load_snapshot(snap, hits, touched, entries)
-    status, err = target.fn(seq, hits, touched, entries, target.key_cache, start, cut, snap)
+    status, err = c.target.fn(seq, hits, touched, entries, c.target.key_cache, start, cut, snap)
     lut = _BUCKETS
     buckets = []
     for i in touched:
@@ -309,8 +306,7 @@ def trim(c: Campaign, seq) -> "tuple[int, ...]":
     budget = c.exec_budget if c.exec_budget is not None else inf
     if c.execs >= budget:
         return tuple(seq)
-    scratch = ([0] * MAP_SIZE, [], [])
-    base = _solo_signature(c.target, seq, scratch)
+    base = _solo_signature(c, seq)
     c.execs += 1
     out = list(seq)
     chunk = max(1, len(out) // 16)
@@ -325,7 +321,7 @@ def trim(c: Campaign, seq) -> "tuple[int, ...]":
             c.execs += 1
             done = snap[0][2] if snap else 0
             trial = out[done:pos] + out[pos + chunk:]
-            if _solo_signature(c.target, trial, scratch, snap, pos) == base:
+            if _solo_signature(c, trial, snap, pos) == base:
                 del out[pos:pos + chunk]
             else:
                 pos += chunk
@@ -333,7 +329,7 @@ def trim(c: Campaign, seq) -> "tuple[int, ...]":
     if c.execs >= budget:
         return tuple(out)
     c.execs += 1
-    if _solo_signature(c.target, out, scratch) != base:
+    if _solo_signature(c, out) != base:
         return tuple(seq)
     return tuple(out)
 
@@ -342,10 +338,11 @@ def fuzz_loop(
     c: Campaign,
     max_execs: "int | None" = None,
     max_seconds: "float | None" = None,
-) -> CampaignResult:
+) -> Campaign:
     """Round-robin the queue until the budget runs out or every syntactic
-    error id has a witness. Retention: any novel branch bucket bit, or any
-    novel state bit outside the baseline. A retained input is trimmed."""
+    error id has a witness, and return c. Retention: any novel branch
+    bucket bit, or any novel state bit outside the baseline. A retained
+    input is trimmed."""
     if max_execs is None and max_seconds is None:
         raise ValueError("need max_execs or max_seconds")
 
@@ -353,7 +350,6 @@ def fuzz_loop(
     config = c.config
     use_state = not config.baseline
     total_ids = len(c.all_error_ids)
-    scratch = ([0] * MAP_SIZE, [], [])
 
     def done() -> bool:
         if max_execs is not None and c.execs >= max_execs:
@@ -367,35 +363,24 @@ def fuzz_loop(
             entry = c.queue[qi]
             for _ in range(schedule_energy(entry, config)):
                 if done():
-                    return finalize(c)
+                    c.elapsed_seconds = time.monotonic() - c.start_time
+                    return c
                 candidate = mutate(entry.input, c.pool_values, c.rng, corpus=c.queue)
-                status, err, new_branch, new_state = _execute_and_merge(c, scratch, candidate)
+                status, err, new_branch, new_state = _execute_and_merge(c, candidate)
                 if status == "error":
                     _record_error(c, err, candidate)
                 if new_branch or (use_state and new_state):
                     c.queue.append(
                         TestCase(
                             input=trim(c, candidate),
-                            id=len(c.queue),
-                            parent=entry.id,
+                            parent=qi,
                             new_branch=new_branch,
                             new_state=new_state,
                             exec_index=c.execs,
                         )
                     )
-    return finalize(c)
-
-
-def finalize(c: Campaign) -> CampaignResult:
-    return CampaignResult(
-        execs=c.execs,
-        corpus=tuple(c.queue),
-        errors=dict(c.errors),
-        branch_bits=c.maps.branch_bit_count(),
-        state_bits=c.maps.state_bit_count(),
-        total_error_ids=len(c.all_error_ids),
-        elapsed_seconds=time.monotonic() - c.start_time,
-    )
+    c.elapsed_seconds = time.monotonic() - c.start_time
+    return c
 
 
 # --- output directory -----------------------------------------------------
@@ -405,11 +390,24 @@ def format_input(seq) -> str:
     return " ".join(str(v) for v in seq) + "\n"
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+_TOKEN = re.compile(r"\S+", re.ASCII)  # split at ASCII whitespace only
+
+
+def parse_decimal(tok: str) -> int:
+    """The value of an ASCII decimal token, -?[0-9]+, as campaign files
+    write them; ValueError on any other token, also on those that int()
+    takes, such as '٣', '+2' or '0_1'."""
+    if not _DECIMAL.fullmatch(tok):
+        raise ValueError(f"{tok!r} is not an ASCII decimal integer")
+    return int(tok)
+
+
 def parse_input_text(text: str) -> "tuple[int, ...]":
-    return tuple(int(tok) for tok in text.split())
+    return tuple(map(parse_decimal, _TOKEN.findall(text)))
 
 
-def write_outputs(result: CampaignResult, out_dir) -> None:
+def write_outputs(c: Campaign, out_dir) -> None:
     """Materialize a campaign: queue/id_<n>.txt, errors/error_<k>.txt,
     stats.json (deterministic) and timing.json (wall clock). The queue
     and witness files of an earlier campaign in out_dir are deleted
@@ -421,27 +419,27 @@ def write_outputs(result: CampaignResult, out_dir) -> None:
     errors_dir.mkdir(parents=True, exist_ok=True)
     for stale in [*queue_dir.glob("id_*.txt"), *errors_dir.glob("error_*.txt")]:
         stale.unlink()
-    for n, case in enumerate(result.corpus):
+    for n, case in enumerate(c.queue):
         (queue_dir / f"id_{n}.txt").write_text(format_input(case.input))
-    for k in sorted(result.errors):
-        (errors_dir / f"error_{k}.txt").write_text(format_input(result.errors[k].witness))
+    for k in sorted(c.errors):
+        (errors_dir / f"error_{k}.txt").write_text(format_input(c.errors[k].witness))
     stats = {
-        "execs": result.execs,
-        "corpus_size": len(result.corpus),
-        "branch_bits": result.branch_bits,
-        "state_bits": result.state_bits,
-        "total_error_ids": result.total_error_ids,
+        "execs": c.execs,
+        "corpus_size": len(c.queue),
+        "branch_bits": c.maps.branch_bit_count(),
+        "state_bits": c.maps.state_bit_count(),
+        "total_error_ids": len(c.all_error_ids),
         "errors": {
             str(k): {
                 "witness": list(rec.witness),
                 "exec_index": rec.exec_index,
             }
-            for k, rec in result.errors.items()
+            for k, rec in c.errors.items()
         },
     }
     (out / "stats.json").write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
     timing = {
-        "elapsed_seconds": result.elapsed_seconds,
-        "errors": {str(k): rec.elapsed for k, rec in result.errors.items()},
+        "elapsed_seconds": c.elapsed_seconds,
+        "errors": {str(k): rec.elapsed for k, rec in c.errors.items()},
     }
     (out / "timing.json").write_text(json.dumps(timing, indent=2, sort_keys=True) + "\n")

@@ -19,6 +19,7 @@ from __future__ import annotations
 from random import Random
 
 from .frontend import (
+    MAX_ALPHABET,
     Assign,
     Binary,
     Emit,
@@ -48,6 +49,8 @@ def generate_source(
 ) -> str:
     if min(vars, domain, alphabet, depth) < 1 or errors < 0:
         raise ValueError("generation parameters must be positive")
+    if alphabet > MAX_ALPHABET:
+        raise ValueError(f"alphabet larger than {MAX_ALPHABET} symbols")
     rng = Random(seed)
     n = vars
     param = "x"

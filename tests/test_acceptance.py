@@ -19,7 +19,6 @@ from reachfuzz.executor import BUCKET_LUT, MAP_SIZE, GlobalMaps, compile_target,
 from reachfuzz.frontend import parse_or_raise
 from reachfuzz.fuzzer import (
     baseline_config,
-    finalize,
     fuzz_loop,
     init_campaign,
     parse_input_text,
@@ -137,9 +136,7 @@ def test_criterion_3_oracle_agreement(capsys):
         p = generate_program(seed=gseed, **FAMILY)
         orc = bfs_reachability(p, state_cap=10**5)
         assert orc.complete, f"family program {gseed} exceeds the state cap"
-        c = init_campaign(p, seed=42)
-        fuzz_loop(c, max_execs=200_000)
-        res = finalize(c)
+        res = fuzz_loop(init_campaign(p, seed=42), max_execs=200_000)
         for k, rec in res.errors.items():
             reported += 1
             assert k in orc.reachable, (
@@ -170,12 +167,10 @@ def test_criterion_4_ablation_comparison(capsys):
         full_total = 0
         base_total = 0
         for p in programs:
-            c = init_campaign(p, seed=fseed)
-            fuzz_loop(c, max_execs=20_000)
-            full_total += len(finalize(c).errors)
-            b = init_campaign(p, baseline_config(), seed=fseed)
-            fuzz_loop(b, max_execs=20_000)
-            base_total += len(finalize(b).errors)
+            c = fuzz_loop(init_campaign(p, seed=fseed), max_execs=20_000)
+            full_total += len(c.errors)
+            b = fuzz_loop(init_campaign(p, baseline_config(), seed=fseed), max_execs=20_000)
+            base_total += len(b.errors)
         full_rows.append(full_total)
         base_rows.append(base_total)
     elapsed = time.perf_counter() - t0
@@ -206,7 +201,7 @@ def campaign_dir(tmp_path, name, seed, budget):
     c = init_campaign(p, seed=seed)
     fuzz_loop(c, max_execs=budget)
     out = tmp_path / name
-    write_outputs(finalize(c), out)
+    write_outputs(c, out)
     return out
 
 

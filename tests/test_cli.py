@@ -61,6 +61,16 @@ def test_gen_non_positive_parameter_exits_two(capsys, flag, value):
     assert err == "cannot gen: generation parameters must be positive\n"
 
 
+def test_gen_refuses_an_alphabet_check_would_reject(tmp_path, capsys):
+    refused, largest = tmp_path / "refused.rrp", tmp_path / "largest.rrp"
+    code, out, err = run(capsys, "gen", "--alphabet", "4097", "--out", str(refused))
+    assert (code, out, err) == (2, "", "cannot gen: alphabet larger than 4096 symbols\n")
+    assert not refused.exists()
+    assert run(capsys, "gen", "--alphabet", "4096", "--out", str(largest))[0] == 0
+    code, out, _ = run(capsys, "check", str(largest))
+    assert code == 0 and "alphabet 1..4096" in out
+
+
 def test_check_valid_program(tmp_path, capsys):
     f = tmp_path / "p.rrp"
     f.write_text(generate_source(seed=1))
@@ -170,6 +180,28 @@ def test_replay_rejects_a_non_integer_symbol(tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"malformed {w}: ")
     assert "'x'" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["\u0663 +2 0_1\n", "1 +2\n", "0_1\n", "\uff12\n", "1\x1c2\n", "1\u20032\n"],
+    ids=[
+        "arabic-indic-signed-underscored", "signed", "underscored", "fullwidth",
+        "file-separator", "em-space",
+    ],
+)
+def test_replay_takes_only_ascii_decimal_symbols(tmp_path, capsys, text):
+    """int() also reads an Arabic-Indic or fullwidth digit, a sign or an
+    underscore, and str.split() also splits at non-ASCII whitespace; a
+    campaign file holds none of them."""
+    f = tmp_path / "p.rrp"
+    f.write_text("inputs 1..5; var a = 0; step(in){ if (in == 2) { error 7; } }")
+    w = tmp_path / "bad.txt"
+    w.write_text(text)
+    code, out, err = run(capsys, "replay", str(f), str(w))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"malformed {w}: ")
     assert err.count("\n") == 1
 
 
@@ -326,10 +358,14 @@ def test_report_rejects_witness_that_does_not_replay(tmp_path, capsys, witness, 
         ('{"errors": {"7": {"witness": [2.0]}}}', "the witness of error 7 is not a list"),
         ('{"errors": {"7": {"witness": 2}}}', "the witness of error 7 is not a list"),
         ('{"errors": {"seven": {"witness": [2]}}}', "error id 'seven' is not an integer"),
+        ('{"errors": {"+7": {"witness": [2]}}}', "error id '+7' is not an integer"),
+        ('{"errors": {"\u0667": {"witness": [2]}}}', "is not an integer"),
+        ('{"errors": {" 7": {"witness": [2]}}}', "error id ' 7' is not an integer"),
     ],
     ids=[
         "truncated", "too-deep", "not-utf8", "array", "errors-array", "no-witness",
         "record-array", "string-symbol", "float-symbol", "witness-int", "named-id",
+        "signed-id", "arabic-indic-id", "padded-id",
     ],
 )
 def test_report_rejects_malformed_stats(tmp_path, capsys, stats, reason):

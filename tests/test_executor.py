@@ -651,6 +651,55 @@ def test_target_folds_what_the_alphabet_decides(monkeypatch):
         assert (r.status, r.error_id) == replay(p, seq)
 
 
+def test_and_chain_is_decided_in_linear_time(monkeypatch):
+    """Folding a condition of n && operands evaluates each node of it a
+    bounded number of times: the chain's decision comes from its
+    operands' decisions, not from evaluating each of its n - 1 nested
+    && nodes whole (about n^2 calls)."""
+    from reachfuzz import interval
+
+    n = 200
+    chain = " && ".join(["in == 2", *(f"a != {k}" for k in range(3, n + 2))])
+    p, g, plan = build(f"inputs 1..3; var a = 0; step(in){{ if ({chain}) {{ error 1; }} a = in; }}")
+    calls = [0]
+    eval_abs = interval.eval_abs
+
+    def counted(e, env):
+        calls[0] += 1
+        return eval_abs(e, env)
+
+    # the recursive calls inside interval count too
+    monkeypatch.setattr(interval, "eval_abs", counted)
+    monkeypatch.setattr(executor, "eval_abs", counted)
+    target = compile_target(p, g, plan)
+    assert calls[0] <= 5 * n
+    monkeypatch.undo()
+    for seq, want in (([1, 2], ("error", 1)), ([3, 2], ("ok", None)), ([2], ("error", 1))):
+        r = run_target(target, seq)
+        assert (r.status, r.error_id) == replay(p, seq) == want
+
+
+def test_decide_matches_eval_abs_on_every_operand_decision():
+    """_ExprGen.decide, which takes the decision of a !, && or || from its
+    operands' decisions, gives the truth of interval.eval_abs on the
+    whole condition, for every mix of decided and undecided operands."""
+    from reachfuzz.interval import _truth, eval_abs
+
+    leaves = ["in > 0", "in > 5", "a == 1"]  # over 1..3: true, false, undecided
+    level = leaves + [f"!({x})" for x in leaves]
+    conds = level + [f"({x}) {op} ({y})" for op in ("&&", "||") for x in level for y in level]
+    conds += [f"!({x}) || ({y}) && ({z})" for x in leaves for y in conds[-9:] for z in leaves]
+    decisions = set()
+    for text in conds:
+        p = parse_or_raise(f"inputs 1..3; var a = 0; step(in){{ if ({text}) {{ error 1; }} }}")
+        gen, _, _ = executor._names(p)
+        cond = p.body[0].cond
+        want = _truth(eval_abs(cond, gen.env))
+        assert gen.decide(cond) is want, text
+        decisions.add(want)
+    assert decisions == {True, False, None}
+
+
 def test_wrap_tests_agree_with_reference_step():
     """The campaign target and the oracle's expander against the AST
     interpreter, on every state of long random runs; the expander both

@@ -17,7 +17,6 @@ from reachfuzz.fuzzer import (
     FuzzConfig,
     TestCase as QueueEntry,
     baseline_config,
-    finalize,
     format_input,
     fuzz_loop,
     init_campaign,
@@ -59,8 +58,8 @@ def test_replace_delete_insert_examples():
 
 
 def test_duplicate_and_splice_examples():
-    corpus = [QueueEntry(input=seq, id=i, parent=None, new_branch=False, new_state=False,
-                         exec_index=0) for i, seq in enumerate([(7, 8, 9), (6,)])]
+    corpus = [QueueEntry(input=seq, parent=None, new_branch=False, new_state=False,
+                         exec_index=0) for seq in [(7, 8, 9), (6,)]]
     # duplicate [1, 2] at the end, then keep [1] and splice on (7, 8, 9)[2:]
     rng = ScriptedRandom(TWO_STEPS, DUPLICATE, (0, 3), (1, 3), (3, 4),
                          SPLICE, (0, 2), (0, 5), (2, 4))
@@ -132,7 +131,7 @@ def havoc_by_int_draws(seq, pool_values, rng, max_len, corpus):
 def test_mutate_matches_int_draw_reference(seq, seed, ncorpus, max_len):
     pool = (1, 1, 2, 3, 9)
     corpus = [
-        QueueEntry(input=tuple(range(1, 2 + 3 * i)), id=i, parent=None,
+        QueueEntry(input=tuple(range(1, 2 + 3 * i)), parent=None,
                    new_branch=False, new_state=False, exec_index=0)
         for i in range(ncorpus)
     ]
@@ -148,23 +147,23 @@ def test_mutate_matches_int_draw_reference(seq, seed, ncorpus, max_len):
 
 def test_schedule_energy_table():
     cfg = FuzzConfig()
-    base = QueueEntry(input=(1, 2), id=0, parent=None,
+    base = QueueEntry(input=(1, 2), parent=None,
                     new_branch=True, new_state=False, exec_index=0)
-    state = QueueEntry(input=(1, 2), id=1, parent=0,
+    state = QueueEntry(input=(1, 2), parent=0,
                      new_branch=True, new_state=True, exec_index=5)
-    long_input = QueueEntry(input=tuple([1] * (LONG_INPUT_LEN + 1)), id=2,
+    long_input = QueueEntry(input=tuple([1] * (LONG_INPUT_LEN + 1)),
                           parent=0, new_branch=True, new_state=False, exec_index=6)
     assert schedule_energy(base, cfg) == 128
     assert schedule_energy(state, cfg) == 256
     assert schedule_energy(long_input, cfg) == 64
-    both = QueueEntry(input=tuple([1] * (LONG_INPUT_LEN + 1)), id=3,
+    both = QueueEntry(input=tuple([1] * (LONG_INPUT_LEN + 1)),
                     parent=0, new_branch=True, new_state=True, exec_index=7)
     assert schedule_energy(both, cfg) == 128
 
 
 def test_schedule_energy_ignores_state_flag_when_disabled():
     cfg = baseline_config()
-    s = QueueEntry(input=(1,), id=0, parent=None,
+    s = QueueEntry(input=(1,), parent=None,
                  new_branch=True, new_state=True, exec_index=0)
     assert schedule_energy(s, cfg) == ENERGY_BASE
 
@@ -202,8 +201,8 @@ def test_seeding_stops_at_the_budget():
     # a budget that covers the seeds leaves the campaign as it was
     full = fuzz_loop(init_campaign(p, seed=3), max_execs=500)
     capped = fuzz_loop(init_campaign(p, seed=3, max_execs=500), max_execs=500)
-    assert (capped.corpus, capped.errors.keys(), capped.execs) == (
-        full.corpus,
+    assert (capped.queue, capped.errors.keys(), capped.execs) == (
+        full.queue,
         full.errors.keys(),
         full.execs,
     )
@@ -215,8 +214,8 @@ def test_seeds_are_parentless_and_loop_cases_have_parents():
     fuzz_loop(c, max_execs=1500)
     for t in c.queue[:seed_count]:
         assert t.parent is None
-    for t in c.queue[seed_count:]:
-        assert t.parent is not None and 0 <= t.parent < t.id
+    for i, t in enumerate(c.queue[seed_count:], seed_count):
+        assert t.parent is not None and 0 <= t.parent < i
 
 
 def test_trim_drops_symbols_after_error():
@@ -334,10 +333,10 @@ def merge_reference(maps, result):
 
 
 def test_campaign_merge_matches_global_maps():
-    """GlobalMaps.merge on the campaign's scratch buffers (unsaturated hit
-    counts, known-key shortcut) leaves the same maps and novelty flags as
-    the reference merge of the run, with and without the key cap
-    reached, and leaves the hit buffer zero."""
+    """GlobalMaps.merge on the campaign's run buffers, c.scratch
+    (unsaturated hit counts, known-key shortcut), leaves the same maps and
+    novelty flags as the reference merge of the run, with and without the
+    key cap reached, and leaves the hit buffer zero."""
     from reachfuzz.fuzzer import _execute_and_merge
 
     loop = parse_or_raise("inputs 1..3; var a = 0; step(in){ if (in == 3) { a = 0; } a = a + in; }")
@@ -345,20 +344,49 @@ def test_campaign_merge_matches_global_maps():
         for cap in (3, 10**6):
             c = init_campaign(p, seed=0)
             c.maps, ref = GlobalMaps(state_key_cap=cap), GlobalMaps(state_key_cap=cap)
-            scratch = ([0] * MAP_SIZE, [], [])
             rnd = random.Random(cap)
             for _ in range(120):
                 seq = tuple(rnd.randint(p.alphabet_lo, p.alphabet_hi)
                             for _ in range(rnd.choice((1, 5, 40, 500, 700))))
-                status, err, new_branch, new_state = _execute_and_merge(c, scratch, seq)
+                status, err, new_branch, new_state = _execute_and_merge(c, seq)
                 r = run_target(c.target, seq)
                 assert (status, err) == (r.status, r.error_id)
                 assert (new_branch, new_state) == merge_reference(ref, r)
                 assert c.maps.virgin_branch == ref.virgin_branch
                 assert c.maps.state_bits == ref.state_bits
                 assert c.maps.state_keys == ref.state_keys
-                assert not any(scratch[0])
+                assert not any(c.scratch[0])
             assert len(ref.state_keys) == min(cap, len(c.target.key_cache))
+
+
+def test_run_buffers_are_zero_after_trim_and_loop(monkeypatch):
+    """The seeds, the loop and every trim share the campaign's run buffers,
+    c.scratch: each run must leave the hit counts zero, trim's resumed and
+    cut trials included, and on a loop that retains and shortens inputs."""
+    import reachfuzz.fuzzer
+
+    p = generate_program(seed=4)
+    c = init_campaign(p, seed=0)
+    assert c.scratch[0] == [0] * MAP_SIZE
+    rnd = random.Random(5)
+    for _ in range(8):
+        seq = tuple(rnd.randint(p.alphabet_lo, p.alphabet_hi) for _ in range(rnd.randint(2, 80)))
+        trim(c, seq)
+        assert c.scratch[0] == [0] * MAP_SIZE
+
+    shortened = []
+
+    def checked_trim(c, seq, trim=reachfuzz.fuzzer.trim):
+        out = trim(c, seq)
+        assert c.scratch[0] == [0] * MAP_SIZE
+        shortened.append(len(out) < len(seq))
+        return out
+
+    monkeypatch.setattr(reachfuzz.fuzzer, "trim", checked_trim)
+    seeded = len(c.queue)
+    fuzz_loop(c, max_execs=3000)
+    assert len(c.queue) > seeded and any(shortened)
+    assert c.scratch[0] == [0] * MAP_SIZE
 
 
 def test_fuzz_counts_trim_executions():
@@ -412,16 +440,14 @@ def test_trim_keeps_to_the_exec_budget(monkeypatch):
     assert exact.errors
     assert {k: (r.witness, r.exec_index) for k, r in exact.errors.items()} == {
         k: (r.witness, r.exec_index) for k, r in late.errors.items()}
-    assert [t.input for t in exact.corpus[:-1]] == [t.input for t in late.corpus[:-1]]
+    assert [t.input for t in exact.queue[:-1]] == [t.input for t in late.queue[:-1]]
 
 
 def test_error_witnesses_replay():
     p = generate_program(seed=7)
-    c = init_campaign(p, seed=11)
-    fuzz_loop(c, max_execs=4000)
-    res = finalize(c)
-    assert res.errors
-    for k, rec in res.errors.items():
+    c = fuzz_loop(init_campaign(p, seed=11), max_execs=4000)
+    assert c.errors
+    for k, rec in c.errors.items():
         r = run_target(c.target, rec.witness)
         assert r.status == "error" and r.error_id == k
         assert all(p.alphabet_lo <= s <= p.alphabet_hi for s in rec.witness)
@@ -441,25 +467,19 @@ def test_monotone_discovery_with_budget():
 
 def test_campaign_deterministic_for_seed():
     p = generate_program(seed=13)
-    a = init_campaign(p, seed=21)
-    fuzz_loop(a, max_execs=3000)
-    ra = finalize(a)
-    b = init_campaign(p, seed=21)
-    fuzz_loop(b, max_execs=3000)
-    rb = finalize(b)
-    assert ra.execs == rb.execs
-    assert [t.input for t in ra.corpus] == [t.input for t in rb.corpus]
-    assert {k: v.witness for k, v in ra.errors.items()} == {
-        k: v.witness for k, v in rb.errors.items()}
+    a = fuzz_loop(init_campaign(p, seed=21), max_execs=3000)
+    b = fuzz_loop(init_campaign(p, seed=21), max_execs=3000)
+    assert a.execs == b.execs
+    assert [t.input for t in a.queue] == [t.input for t in b.queue]
+    assert {k: v.witness for k, v in a.errors.items()} == {
+        k: v.witness for k, v in b.errors.items()}
 
 
 def test_corpus_entries_all_contributed_novelty():
     p = generate_program(seed=3)
-    c = init_campaign(p, seed=8)
-    fuzz_loop(c, max_execs=4000)
-    res = finalize(c)
+    c = fuzz_loop(init_campaign(p, seed=8), max_execs=4000)
     maps = GlobalMaps()
-    for t in res.corpus:
+    for t in c.queue:
         r = run_target(c.target, t.input)
         new_branch, new_state = maps.merge(bytearray(r.counts), r.touched, r.entries)
         if t.parent is not None:
@@ -468,11 +488,9 @@ def test_corpus_entries_all_contributed_novelty():
 
 def test_baseline_retention_is_branch_only():
     p = generate_program(seed=3)
-    c = init_campaign(p, baseline_config(), seed=8)
-    fuzz_loop(c, max_execs=4000)
-    res = finalize(c)
+    c = fuzz_loop(init_campaign(p, baseline_config(), seed=8), max_execs=4000)
     maps = GlobalMaps()
-    for t in res.corpus:
+    for t in c.queue:
         r = run_target(c.target, t.input)
         new_branch, _ = maps.merge(bytearray(r.counts), r.touched, r.entries)
         if t.parent is not None:
@@ -510,22 +528,20 @@ def test_max_seconds_stops_loop():
 
 def test_write_outputs_layout_and_round_trip(tmp_path):
     p = parse_or_raise(ERROR_ON_TWO)
-    c = init_campaign(p, seed=0)
-    fuzz_loop(c, max_execs=500)
-    res = finalize(c)
-    write_outputs(res, tmp_path)
+    c = fuzz_loop(init_campaign(p, seed=0), max_execs=500)
+    write_outputs(c, tmp_path)
     stats = json.loads((tmp_path / "stats.json").read_text())
-    assert stats["execs"] == res.execs
+    assert stats["execs"] == c.execs
     assert stats["errors"]["7"]["witness"] == [2]
     assert set(stats) == {
         "branch_bits", "corpus_size", "errors", "execs", "state_bits",
         "total_error_ids"}
     timing = json.loads((tmp_path / "timing.json").read_text())
-    assert timing["elapsed_seconds"] >= 0
+    assert timing["elapsed_seconds"] == c.elapsed_seconds > 0
     queue_files = sorted((tmp_path / "queue").iterdir())
-    assert len(queue_files) == len(res.corpus)
-    for t in res.corpus:
-        text = (tmp_path / "queue" / f"id_{t.id}.txt").read_text()
+    assert len(queue_files) == len(c.queue)
+    for n, t in enumerate(c.queue):
+        text = (tmp_path / "queue" / f"id_{n}.txt").read_text()
         assert parse_input_text(text) == t.input
     err_text = (tmp_path / "errors" / "error_7.txt").read_text()
     assert parse_input_text(err_text) == (2,)
