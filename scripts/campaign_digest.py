@@ -12,8 +12,8 @@ Usage:
 Prints three lines:
     campaigns <sha1>  each campaign's corpus (inputs, parents, novelty
                       flags, exec indices), its witnesses with their exec
-                      indices, both coverage maps, the state-key set and
-                      the exec count;
+                      indices, the virgin branch map as bytes, the state
+                      map as its sorted index list, and the exec count;
     plans <sha1>      each campaign's instrumentation plan and the source
                       of its generated target;
     oracle <sha1>     `bfs_reachability` on every program at its
@@ -81,8 +81,7 @@ def digests(programs, seed: int) -> "tuple[str, str]":
                 [(t.input, t.parent, t.new_branch, t.new_state, t.exec_index) for t in c.queue],
                 sorted((k, r.witness, r.exec_index) for k, r in c.errors.items()),
                 bytes(c.maps.virgin_branch).hex(),
-                bytes(c.maps.state_bits).hex(),
-                sorted(c.maps.state_keys),
+                sorted(c.maps.state_indices),
                 c.execs,
             )
             campaigns.update(repr(record).encode() + b"\n")

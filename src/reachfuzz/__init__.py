@@ -4,7 +4,7 @@ Pipeline: parse a reactive step program, lower it to a DAG of basic
 blocks, pick a minimal set of blocks whose tags still tell every
 entry-to-exit path apart, bound the global variables by interval
 analysis to restrict mutation values, then fuzz with dual-map novelty
-retention (branch-pair buckets + hashed state bits) and check the
+retention (branch-pair buckets + hashed state-map indices) and check the
 verdicts against an exhaustive reachability oracle.
 """
 

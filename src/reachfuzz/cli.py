@@ -1,7 +1,9 @@
 """Command-line surface: check, analyze, gen, fuzz, replay, oracle, report.
 
 Exit codes: 0 success, 1 invalid program, 2 I/O or capacity trouble, a
-malformed input or campaign file, or a non-positive `gen` parameter.
+malformed input or campaign file, a non-positive `gen` parameter, or a
+`fuzz` budget that is negative (`--max-execs`, `--max-seconds`), NaN or
+infinite (`--max-seconds`).
 Input and witness files are ASCII decimal symbols, -?[0-9]+, separated
 by ASCII whitespace, and the error ids that key the witnesses of
 stats.json are ASCII decimal too.
@@ -23,6 +25,7 @@ from .frontend import Program, list_error_ids, parse_program, reference_step
 from .fuzzer import (
     FuzzConfig,
     baseline_config,
+    check_budget,
     fuzz_loop,
     init_campaign,
     parse_decimal,
@@ -40,6 +43,8 @@ from .gen import (
 from .instrument import select_instrumentation
 from .interval import analyze
 from .oracle import DEFAULT_DEPTH_CAP, DEFAULT_STATE_CAP, bfs_reachability
+
+DEFAULT_FUZZ_EXECS = 10**5  # the `fuzz` budget when neither limit is given
 
 
 def _read_text(path: str) -> "str | None":
@@ -131,13 +136,18 @@ def cmd_gen(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    max_execs = args.max_execs
+    if max_execs is None and args.max_seconds is None:
+        max_execs = DEFAULT_FUZZ_EXECS
+    try:
+        check_budget(max_execs, args.max_seconds)
+    except ValueError as exc:
+        print(f"cannot fuzz: {exc}", file=sys.stderr)
+        return 2
     program, code = _load_program(args.file)
     if program is None:
         return code
     config = baseline_config() if args.baseline else FuzzConfig()
-    max_execs = args.max_execs
-    if max_execs is None and args.max_seconds is None:
-        max_execs = 10**5
     c = init_campaign(program, config, seed=args.seed, max_execs=max_execs)
     fuzz_loop(c, max_execs=max_execs, max_seconds=args.max_seconds)
     try:
@@ -184,8 +194,8 @@ def cmd_replay(args) -> int:
     print(f"steps: {steps}")
     print("outputs:", " ".join(str(v) for v in outputs))
     # the novelty of the run against empty maps: the entry block is always
-    # probed, so a run sets a branch bit iff its first step starts, and a
-    # state bit iff a step completes
+    # probed, so a run sets a branch bit iff its first step starts, and
+    # reaches a state-map index iff a step completes
     started = bool(seq) and program.alphabet_lo <= seq[0] <= program.alphabet_hi
     print(f"new_branch_bits: {str(started).lower()}")
     print(f"new_state_bits: {str(steps > 0).lower()}")
@@ -288,8 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", help="run a fuzzing campaign")
     p.add_argument("file")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-execs", type=int, default=None)
-    p.add_argument("--max-seconds", type=float, default=None)
+    budgets = f"; with neither budget, the exec budget is {DEFAULT_FUZZ_EXECS:,}"
+    p.add_argument("--max-execs", type=int, help="exec budget" + budgets)
+    p.add_argument("--max-seconds", type=float, help="wall-clock budget in seconds" + budgets)
     p.add_argument("--out", default="fuzz-out", help="output directory")
     p.add_argument(
         "--baseline",

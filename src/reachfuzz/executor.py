@@ -2,10 +2,12 @@
 
 An execution consumes one symbol per step and feeds two fitness maps:
 a 65,536-byte branch-pair map (index = (prev_tag >> 1) XOR tag(block),
-saturating hit counts, classified into logarithmic buckets) and a
-65,536-bit state map indexed by an FNV-1a hash of the global valuation
-after each completed step. The previous-tag register persists across
-steps within one run, so branch pairs capture cross-step sequencing.
+saturating hit counts, classified into logarithmic buckets) and a state
+map, the set of state-map indices that runs reached: the index of a
+completed step is the low 16 bits of an FNV-1a hash of the global
+valuation after it, so the set holds at most MAP_SIZE ints. The
+previous-tag register persists across steps within one run, so branch
+pairs capture cross-step sequencing.
 
 One code generator, _emit_body, turns the step body into Python in two
 places: the campaign target (program + plan + tags, instrumented) and
@@ -30,10 +32,8 @@ from .frontend import I64_MAX, I64_MIN, Assign, Binary, IntLit, Name, Program, U
 from .instrument import InstrumentationPlan
 from .interval import TOP, Interval, _collect_input_constants, _truth, assignment_bounds, eval_abs
 
-MAP_SIZE = 65536  # branch-pair byte map entries; also state-map bit count
-STATE_BYTES = MAP_SIZE // 8
+MAP_SIZE = 65536  # branch-pair byte map entries; also state-map indices
 DEFAULT_MAX_STEPS = 4096
-DEFAULT_STATE_KEY_CAP = 10**6
 
 FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
@@ -58,37 +58,34 @@ def state_key(values) -> int:
     return h
 
 
-def state_entry(key: int) -> "tuple[int, int, int]":
-    """(key, byte index, bit mask) of a state key's state-map bit, the one
-    at the key's low 16 bits. The only place that picks the bit."""
-    i = key & 0xFFFF
-    return key, i >> 3, 1 << (i & 7)
+def state_entry(key: int) -> "tuple[int, int]":
+    """(key, state-map index) of a state key: the index is the key's low
+    16 bits. The only place that picks the index."""
+    return key, key & 0xFFFF
 
 
-_KEY = itemgetter(0)
+_INDEX = itemgetter(1)  # the state-map index of a state entry
 
 
 @dataclass
 class GlobalMaps:
-    """Campaign-global coverage state: virgin branch buckets + state bits.
+    """Campaign-global coverage state: virgin branch buckets and the state
+    map, the set of state-map indices that merged runs reached.
 
-    Bits are only ever set; merging is idempotent and order-insensitive
-    for the final bit state. state_keys holds the keys whose bits merge
-    has set, up to state_key_cap of them; a run whose keys are all there
-    can set no bit, which spares merge the per-step loop.
+    Both only grow; merging is idempotent and order-insensitive. The
+    state map holds at most MAP_SIZE ints, however many states the
+    program has.
     """
 
     virgin_branch: bytearray = field(default_factory=lambda: bytearray(MAP_SIZE))
-    state_bits: bytearray = field(default_factory=lambda: bytearray(STATE_BYTES))
-    state_keys: set = field(default_factory=set)
-    state_key_cap: int = DEFAULT_STATE_KEY_CAP
+    state_indices: set = field(default_factory=set)
 
     def merge(self, hits, touched, entries) -> "tuple[bool, bool]":
         """Fold one run into the maps; returns (new_branch, new_state).
 
         hits holds the run's hit counts, unsaturated (128 and up bucket as
         0x80), and is left zero at every index of touched. entries are the
-        run's (key, byte, mask) state entries, one per completed step.
+        run's (key, index) state entries, one per completed step.
         """
         virgin = self.virgin_branch
         lut = _BUCKETS
@@ -101,25 +98,16 @@ class GlobalMaps:
             if mask & ~cur:
                 virgin[idx] = cur | mask
                 new_branch = True
-        new_state = False
-        keys = self.state_keys
-        if not keys.issuperset(map(_KEY, entries)):
-            bits = self.state_bits
-            cap = self.state_key_cap
-            for key, bi, mask in entries:
-                b = bits[bi]
-                if not b & mask:
-                    bits[bi] = b | mask
-                    new_state = True
-                if len(keys) < cap:
-                    keys.add(key)
-        return new_branch, new_state
+        seen = self.state_indices
+        n = len(seen)
+        seen.update(map(_INDEX, entries))
+        return new_branch, len(seen) != n
 
     def branch_bit_count(self) -> int:
         return int.from_bytes(self.virgin_branch, "little").bit_count()
 
     def state_bit_count(self) -> int:
-        return int.from_bytes(self.state_bits, "little").bit_count()
+        return len(self.state_indices)
 
 
 # --- compiled target --------------------------------------------------------
@@ -416,8 +404,8 @@ class CompiledTarget:
     counts is a list of MAP_SIZE ints that the run leaves zero outside
     touched; its hit counts are not saturated (a list index costs less
     than a bytearray one), so readers clamp them at 255.
-    state_entries collects one cached state_entry triple per completed
-    step, so map merging needs no per-step arithmetic.
+    state_entries collects one cached state_entry pair, (key, index), per
+    completed step, so map merging needs no per-step arithmetic.
 
     Three optional arguments follow key_cache, for a run that resumes
     another one part way:

@@ -2,9 +2,10 @@
 
 Corpus-queue round robin with havoc mutation stacks, a weighted symbol
 pool from interval analysis, dual-map novelty retention (a candidate is
-kept when it sets any previously-unseen branch-pair bucket bit or state
-bit), energy bonuses for state-novel entries, signature-preserving
-trimming, and first-witness-per-error-id recording. Everything observable
+kept when it sets any previously-unseen branch-pair bucket bit or
+reaches any previously-unseen state-map index), energy bonuses for
+state-novel entries, signature-preserving trimming, and
+first-witness-per-error-id recording. Everything observable
 is a pure function of (program, config, seed, exec budget); wall-clock
 timings are segregated so they never touch the deterministic outputs.
 
@@ -23,7 +24,6 @@ import re
 import time
 from dataclasses import dataclass, field
 from math import floor, inf
-from operator import itemgetter
 from pathlib import Path
 
 from random import Random
@@ -31,6 +31,7 @@ from random import Random
 from .cfg import Cfg, assign_block_tags, build_cfg
 from .executor import (
     _BUCKETS,
+    _INDEX,
     MAP_SIZE,
     CompiledTarget,
     GlobalMaps,
@@ -47,8 +48,6 @@ RANDOM_SEED_COUNT = 10  # random pool-drawn seed inputs, after the single symbol
 RANDOM_SEED_LEN = 20
 ENERGY_BASE = 128  # mutations per queue visit
 LONG_INPUT_LEN = 512  # longer inputs get half the energy
-
-_INDEX = itemgetter(1, 2)  # the (byte, mask) of a state entry: its map index
 
 
 @dataclass(frozen=True)
@@ -263,8 +262,8 @@ def init_campaign(
 
 def _solo_signature(c: Campaign, seq, snap=None, cut=-1):
     """Behavior fingerprint of one isolated run: status, error id,
-    classified branch buckets, and the touched state-map indices (as the
-    (byte, mask) pairs of the state entries).
+    classified branch buckets, and the set of state-map indices of the
+    run's state entries.
 
     snap, when given, is a snapshot list of target.fn ([] for the initial
     state): the run resumes from it over seq, the symbols after its
@@ -334,6 +333,18 @@ def trim(c: Campaign, seq) -> "tuple[int, ...]":
     return tuple(out)
 
 
+def check_budget(max_execs: "int | None", max_seconds: "float | None") -> None:
+    """Raise ValueError unless the budget is one fuzz_loop can keep to: at
+    least one of the two given, max_execs not negative, and max_seconds
+    finite and not negative."""
+    if max_execs is None and max_seconds is None:
+        raise ValueError("need max_execs or max_seconds")
+    if max_execs is not None and max_execs < 0:
+        raise ValueError(f"max_execs is negative ({max_execs})")
+    if max_seconds is not None and not 0 <= max_seconds < inf:
+        raise ValueError(f"max_seconds is not a finite non-negative number ({max_seconds})")
+
+
 def fuzz_loop(
     c: Campaign,
     max_execs: "int | None" = None,
@@ -341,10 +352,10 @@ def fuzz_loop(
 ) -> Campaign:
     """Round-robin the queue until the budget runs out or every syntactic
     error id has a witness, and return c. Retention: any novel branch
-    bucket bit, or any novel state bit outside the baseline. A retained
-    input is trimmed."""
-    if max_execs is None and max_seconds is None:
-        raise ValueError("need max_execs or max_seconds")
+    bucket bit, or any novel state-map index outside the baseline. A
+    retained input is trimmed. check_budget's ValueError refuses a
+    budget that could not end the loop."""
+    check_budget(max_execs, max_seconds)
 
     c.exec_budget = max_execs
     config = c.config

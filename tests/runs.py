@@ -42,11 +42,11 @@ class Run(NamedTuple):
     steps: int
     counts: bytearray  # the branch map, hit counts clamped at 255
     touched: "tuple[int, ...]"  # the nonzero indices of counts, first touch first
-    entries: "tuple[tuple[int, int, int], ...]"  # a state entry per completed step
+    entries: "tuple[tuple[int, int], ...]"  # a (key, index) state entry per completed step
 
     @property
     def state_keys(self) -> "tuple[int, ...]":
-        return tuple(key for key, _, _ in self.entries)
+        return tuple(key for key, _ in self.entries)
 
 
 def run_target(target, seq, snap=None, cut=-1) -> Run:

@@ -158,6 +158,31 @@ def test_fuzz_budget_zero_reports_seeding(tmp_path, capsys):
     assert stats["execs"] == 0
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--max-seconds", "nan"), ("--max-seconds", "inf"), ("--max-seconds", "-1"),
+     ("--max-execs", "-3")],
+)
+def test_fuzz_refuses_a_budget_that_cannot_end_the_campaign(tmp_path, capsys, flag, value):
+    """A NaN or infinite time budget never ends the loop, and a negative
+    one was once taken silently: each is refused with exit 2 before any
+    campaign starts."""
+    f = tmp_path / "p.rrp"
+    f.write_text(generate_source(seed=3))
+    out_dir = tmp_path / "camp"
+    code, out, err = run(capsys, "fuzz", str(f), flag, value, "--out", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot fuzz: ") and err.count("\n") == 1, err
+    assert not out_dir.exists()
+
+
+def test_fuzz_help_states_the_default_budget(capsys):
+    with pytest.raises(SystemExit):
+        main(["fuzz", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert out.count("exec budget is 100,000") == 2
+
+
 def test_replay_prints_status_and_novelty(tmp_path, capsys):
     f = tmp_path / "p.rrp"
     f.write_text("inputs 1..5; var a = 0; step(in){ if (in == 2) { error 7; } }")

@@ -43,7 +43,7 @@ def reference_run(program, g, plan, input_seq):
 
     counts = bytearray(MAP_SIZE)
     touched: "list[int]" = []
-    entries: "list[tuple[int, int, int]]" = []
+    entries: "list[tuple[int, int]]" = []
     trace: "list[int]" = []
     prev = tags[g.entry]
     status = "ok"
@@ -185,8 +185,8 @@ def test_state_key_frozen_vectors():
 
 
 def test_state_index_is_low_16_bits():
-    """The target's state-map entries are state_entry of the key: (key,
-    byte, mask) of the bit at the key's low 16 bits."""
+    """The target's state-map entries are state_entry of the key: the key
+    and its state-map index, the key's low 16 bits."""
     p = parse_or_raise("inputs -3..3; var a = 0; var b = 5; step(in){ a = a * 7 + in; b = b - a; }")
     g = assign_block_tags(build_cfg(p), 0)
     t = compile_target(p, g, select_instrumentation(g))
@@ -194,11 +194,11 @@ def test_state_index_is_low_16_bits():
     t.fn([3, -2, 1, 0, -3], [0] * MAP_SIZE, [], entries, {})
     values = p.initial_values()
     assert len(entries) == 5
-    for sym, (key, byte, mask) in zip([3, -2, 1, 0, -3], entries):
+    for sym, (key, index) in zip([3, -2, 1, 0, -3], entries):
         values = tuple(reference_step(p, values, sym)[2])
         assert key == state_key(values)
-        assert (byte, mask) == ((key & 0xFFFF) >> 3, 1 << (key & 7))
-        assert (key, byte, mask) == state_entry(state_key(values))
+        assert index == key & 0xFFFF
+        assert (key, index) == state_entry(state_key(values))
 
 
 def test_classify_counts_table():
@@ -433,19 +433,42 @@ def test_merge_commutative_and_monotone():
     for r in reversed(runs):
         merge(b, r)
     assert bytes(a.virgin_branch) == bytes(b.virgin_branch)
-    assert bytes(a.state_bits) == bytes(b.state_bits)
-    assert a.state_keys == b.state_keys
+    assert a.state_indices == b.state_indices
 
 
-def test_state_key_cap_bounds_key_set():
-    p, g, plan = build("inputs 1..3; var a = 0; step(in){ a = a + 1; }")
-    m = GlobalMaps(state_key_cap=5)
-    rnd = random.Random(1)
-    for _ in range(20):
-        seq = [rnd.randint(1, 3) for _ in range(rnd.randint(1, 30))]
-        merge(m, run(p, g, plan, seq))
-    assert len(m.state_keys) <= 5
-    assert m.state_bit_count() > 5
+def test_state_map_is_the_index_set_of_merged_runs(monkeypatch):
+    """Over a long campaign, the state map after each merge is the set of
+    key & 0xFFFF over the entries of every run merged so far, the seeds'
+    included, and a run is state-novel iff it grew that set. Merging more
+    keys than the map has indices fills it to exactly MAP_SIZE."""
+    import reachfuzz.fuzzer
+
+    reached: set = set()
+    merges = []
+
+    class SpiedMaps(GlobalMaps):
+        def merge(self, hits, touched, entries):
+            before = len(reached)
+            reached.update(key & 0xFFFF for key, _ in entries)
+            new_branch, new_state = super().merge(hits, touched, entries)
+            assert new_state == (len(reached) > before)
+            assert len(self.state_indices) == len(reached) <= MAP_SIZE
+            merges.append(self)
+            return new_branch, new_state
+
+    monkeypatch.setattr(reachfuzz.fuzzer, "GlobalMaps", SpiedMaps)
+    p = generate_program(seed=8, vars=8, domain=64, alphabet=10, depth=3)
+    c = reachfuzz.fuzzer.init_campaign(p, seed=42)
+    reachfuzz.fuzzer.fuzz_loop(c, max_execs=40000)
+    assert len(merges) > 1500 and all(m is c.maps for m in merges)
+    assert c.maps.state_indices == reached
+    assert c.maps.state_bit_count() == len(reached) > 5000
+
+    m = GlobalMaps()
+    keys = [high << 16 | low for high in (1, 7, 1 << 40) for low in range(MAP_SIZE)]
+    assert m.merge([], [], list(map(state_entry, keys))) == (False, True)
+    assert m.state_indices == set(range(MAP_SIZE))
+    assert m.state_bit_count() == MAP_SIZE
 
 
 def test_trace_matches_projection():

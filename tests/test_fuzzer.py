@@ -5,6 +5,7 @@ import json
 import random
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 from runs import generate_program, run_target
 
@@ -258,7 +259,7 @@ def trim_reference(c, seq) -> "tuple[tuple[int, ...], int]":
     def signature(s):
         r = run_target(c.target, s)
         buckets = tuple(sorted((i, BUCKET_LUT[r.counts[i]]) for i in r.touched))
-        return (r.status, r.error_id, buckets, frozenset((b, m) for _, b, m in r.entries))
+        return (r.status, r.error_id, buckets, frozenset(index for _, index in r.entries))
 
     base = signature(seq)
     execs = 1
@@ -310,8 +311,8 @@ def test_trim_matches_trim_by_full_runs():
 
 def merge_reference(maps, result):
     """Reference merge of a run_target result: every touched index through
-    the bucket table, every state key's bit at its low 16 bits, and each
-    key into the key set while it is below the cap. No shortcut."""
+    the bucket table, and every state key's low 16 bits into the set of
+    state-map indices. No shortcut."""
     new_branch = False
     for idx in result.touched:
         mask = BUCKET_LUT[result.counts[idx]]
@@ -322,41 +323,35 @@ def merge_reference(maps, result):
     new_state = False
     for key in result.state_keys:
         idx = key & 0xFFFF
-        b = maps.state_bits[idx >> 3]
-        m = 1 << (idx & 7)
-        if not b & m:
-            maps.state_bits[idx >> 3] = b | m
+        if idx not in maps.state_indices:
+            maps.state_indices.add(idx)
             new_state = True
-        if len(maps.state_keys) < maps.state_key_cap:
-            maps.state_keys.add(key)
     return new_branch, new_state
 
 
 def test_campaign_merge_matches_global_maps():
     """GlobalMaps.merge on the campaign's run buffers, c.scratch
-    (unsaturated hit counts, known-key shortcut), leaves the same maps and
-    novelty flags as the reference merge of the run, with and without the
-    key cap reached, and leaves the hit buffer zero."""
+    (unsaturated hit counts, cached state entries), leaves the same maps
+    and novelty flags as the reference merge of the run, and leaves the
+    hit buffer zero."""
     from reachfuzz.fuzzer import _execute_and_merge
 
     loop = parse_or_raise("inputs 1..3; var a = 0; step(in){ if (in == 3) { a = 0; } a = a + in; }")
     for p in (loop, generate_program(seed=3)):
-        for cap in (3, 10**6):
-            c = init_campaign(p, seed=0)
-            c.maps, ref = GlobalMaps(state_key_cap=cap), GlobalMaps(state_key_cap=cap)
-            rnd = random.Random(cap)
-            for _ in range(120):
-                seq = tuple(rnd.randint(p.alphabet_lo, p.alphabet_hi)
-                            for _ in range(rnd.choice((1, 5, 40, 500, 700))))
-                status, err, new_branch, new_state = _execute_and_merge(c, seq)
-                r = run_target(c.target, seq)
-                assert (status, err) == (r.status, r.error_id)
-                assert (new_branch, new_state) == merge_reference(ref, r)
-                assert c.maps.virgin_branch == ref.virgin_branch
-                assert c.maps.state_bits == ref.state_bits
-                assert c.maps.state_keys == ref.state_keys
-                assert not any(c.scratch[0])
-            assert len(ref.state_keys) == min(cap, len(c.target.key_cache))
+        c = init_campaign(p, seed=0)
+        c.maps, ref = GlobalMaps(), GlobalMaps()
+        rnd = random.Random(3)
+        for _ in range(240):
+            seq = tuple(rnd.randint(p.alphabet_lo, p.alphabet_hi)
+                        for _ in range(rnd.choice((1, 5, 40, 500, 700))))
+            status, err, new_branch, new_state = _execute_and_merge(c, seq)
+            r = run_target(c.target, seq)
+            assert (status, err) == (r.status, r.error_id)
+            assert (new_branch, new_state) == merge_reference(ref, r)
+            assert c.maps.virgin_branch == ref.virgin_branch
+            assert c.maps.state_indices == ref.state_indices
+            assert not any(c.scratch[0])
+        assert ref.state_indices == {key & 0xFFFF for key, _ in c.target.key_cache.values()}
 
 
 def test_run_buffers_are_zero_after_trim_and_loop(monkeypatch):
@@ -519,11 +514,27 @@ def test_queue_inputs_stay_in_alphabet():
         assert 1 <= len(t.input) <= MAX_LEN
 
 
+@pytest.mark.parametrize(
+    "budget",
+    [{}, dict(max_execs=-3), dict(max_seconds=-1.0), dict(max_seconds=float("nan")),
+     dict(max_seconds=float("inf")), dict(max_execs=100, max_seconds=float("nan"))],
+)
+def test_fuzz_loop_refuses_a_budget_that_cannot_end_it(budget):
+    c = init_campaign(parse_or_raise(ERROR_ON_TWO), seed=0)
+    seeded = c.execs
+    with pytest.raises(ValueError):
+        fuzz_loop(c, **budget)
+    assert c.execs == seeded
+
+
 def test_max_seconds_stops_loop():
     p = generate_program(seed=1)
     c = init_campaign(p, seed=0)
     fuzz_loop(c, max_seconds=0.2)
     assert c.execs > 0
+    c = init_campaign(p, seed=0)
+    seeded = c.execs
+    assert fuzz_loop(c, max_seconds=0.0).execs == seeded
 
 
 def test_write_outputs_layout_and_round_trip(tmp_path):
