@@ -1,9 +1,10 @@
 """Command-line surface: check, analyze, gen, fuzz, replay, oracle, report.
 
 Exit codes: 0 success, 1 invalid program, 2 I/O or capacity trouble, a
-malformed input or campaign file, a non-positive `gen` parameter, or a
+malformed input or campaign file, a non-positive `gen` parameter, a
 `fuzz` budget that is negative (`--max-execs`, `--max-seconds`), NaN or
-infinite (`--max-seconds`).
+infinite (`--max-seconds`), or an `oracle` cap that means nothing (a
+`--state-cap` below 1, a negative `--depth-cap`).
 Input and witness files are ASCII decimal symbols, -?[0-9]+, separated
 by ASCII whitespace, and the error ids that key the witnesses of
 stats.json are ASCII decimal too.
@@ -206,7 +207,11 @@ def cmd_oracle(args) -> int:
     program, code = _load_program(args.file)
     if program is None:
         return code
-    result = bfs_reachability(program, state_cap=args.state_cap, depth_cap=args.depth_cap)
+    try:
+        result = bfs_reachability(program, state_cap=args.state_cap, depth_cap=args.depth_cap)
+    except ValueError as exc:
+        print(f"cannot oracle: {exc}", file=sys.stderr)
+        return 2
     for k in sorted(result.reachable):
         witness = result.reachable[k]
         symbols = " ".join(str(v) for v in witness)

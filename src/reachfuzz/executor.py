@@ -407,8 +407,8 @@ class CompiledTarget:
     state_entries collects one cached state_entry pair, (key, index), per
     completed step, so map merging needs no per-step arithmetic.
 
-    Three optional arguments follow key_cache, for a run that resumes
-    another one part way:
+    Four optional arguments follow key_cache. The first three are for a
+    run that resumes another one part way:
     - start, the (valuation, prev tag, steps done) of a run that has
       completed `steps done` steps, with counts, touched and
       state_entries holding what those steps left there. The run goes on
@@ -423,6 +423,13 @@ class CompiledTarget:
       touched index. A run that ends before, or that starts at or past
       the cut, leaves snap as it is. load_snapshot readies the buffers
       and the start for a run that resumes from a snapshot.
+
+    The fourth, allow, is a set of state-map indices, for trim's trials.
+    A run given one returns (None, None) on its first completed step
+    whose index is not in allow, with that step's entry the last of
+    state_entries; the run it resumes past a cut carries allow on. Its
+    counts stay as the steps so far left them, so the caller zeroes
+    them at touched. None is no status word: only trim passes allow.
     """
 
     fn: "object"
@@ -481,7 +488,7 @@ def compile_target(program: Program, g: Cfg, plan: InstrumentationPlan) -> Compi
     lo, hi = program.alphabet_lo, program.alphabet_hi
 
     lines = [
-        "def _target(seq, m, t, sk, kc, start=None, cut=-1, snap=None,"
+        "def _target(seq, m, t, sk, kc, start=None, cut=-1, snap=None, allow=None,"
         " _fnv=state_key, _entry=state_entry):",
         "    if start is None:",
     ]
@@ -517,14 +524,16 @@ def compile_target(program: Program, g: Cfg, plan: InstrumentationPlan) -> Compi
         lines.append(f"        prev = {last}")
     lines.append(f"        v = {tuple_src}")
     lines.append("        try:")
-    lines.append("            sk_append(kc[v])")
+    lines.append("            e = kc[v]")
     lines.append("        except KeyError:")
     lines.append("            kc[v] = e = _entry(_fnv(v))")
-    lines.append("            sk_append(e)")
+    lines.append("        sk_append(e)")
+    lines.append("        if allow is not None and e[1] not in allow:")
+    lines.append("            return None, None")
     lines.append("    else:")
     lines.append("        if tail is None:")
     lines.append("            snap[:] = ((v, prev, cut), t[:], list(map(m.__getitem__, t)), sk[:])")
-    lines.append("            return _target(seq[end:], m, t, sk, kc, snap[0])")
+    lines.append("            return _target(seq[end:], m, t, sk, kc, snap[0], -1, None, allow)")
     lines.append("        st = tail")
     lines.append("    return st, err")
     source = "\n".join(lines) + "\n"

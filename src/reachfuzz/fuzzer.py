@@ -13,8 +13,10 @@ Trim resumes each trial from a snapshot of the run it trims: the
 compiled target starts from a (valuation, prev tag, steps done) start
 state over the symbols after those steps, and at a cut step it records
 the running state into a snapshot list (CompiledTarget describes the
-contract). A trial is still one target call and one exec, and gives the
-signature of a full run.
+contract). It stops on the trial's first state-map index outside the
+index set of the base run, whose signature the trial can then no longer
+match. A trial is still one target call and one exec, and is kept
+exactly when a full run of it would be.
 """
 
 from __future__ import annotations
@@ -213,8 +215,11 @@ def init_campaign(
     Seeds: one single-symbol input per alphabet value (truncated to 256
     for huge alphabets) plus random pool-drawn sequences. Seeds enter the
     queue unconditionally; their novelty flags still come from the merge.
-    Seeding stops once max_execs seeds have run.
+    Seeding stops once max_execs seeds have run; check_budget's
+    ValueError refuses a negative max_execs.
     """
+    if max_execs is not None:
+        check_budget(max_execs, None)
     config = config or FuzzConfig()
     g = assign_block_tags(build_cfg(program), seed)
     plan = select_instrumentation(g)
@@ -243,7 +248,7 @@ def init_campaign(
         )
 
     if max_execs is not None:
-        seeds = seeds[:max(max_execs, 0)]
+        seeds = seeds[:max_execs]
     for s in seeds:
         status, err, new_branch, new_state = _execute_and_merge(c, s)
         if status == "error":
@@ -260,19 +265,29 @@ def init_campaign(
     return c
 
 
-def _solo_signature(c: Campaign, seq, snap=None, cut=-1):
+def _solo_signature(c: Campaign, seq, snap=None, cut=-1, allow=None):
     """Behavior fingerprint of one isolated run: status, error id,
     classified branch buckets, and the set of state-map indices of the
     run's state entries.
 
     snap, when given, is a snapshot list of target.fn ([] for the initial
     state): the run resumes from it over seq, the symbols after its
-    steps, and with cut it moves snap on to the run's cut-th step."""
+    steps, and with cut it moves snap on to the run's cut-th step.
+
+    allow, when given, is a set of state-map indices: the run stops on
+    its first step whose index is outside it, and the result is None, no
+    fingerprint (the hit counts are still zeroed)."""
     hits, touched, entries = c.scratch
     touched.clear()
     entries.clear()
     start = load_snapshot(snap, hits, touched, entries)
-    status, err = c.target.fn(seq, hits, touched, entries, c.target.key_cache, start, cut, snap)
+    status, err = c.target.fn(
+        seq, hits, touched, entries, c.target.key_cache, start, cut, snap, allow
+    )
+    if status is None:
+        for i in touched:
+            hits[i] = 0
+        return None
     lut = _BUCKETS
     buckets = []
     for i in touched:
@@ -294,6 +309,12 @@ def trim(c: Campaign, seq) -> "tuple[int, ...]":
     at an earlier position of the pass, and cuts a new one at pos, in the
     same single target call that is the trial's exec. The base run and
     the final re-verify run from the initial state.
+
+    A trial stops on its first step whose state-map index is outside the
+    base run's index set, for its signature cannot match from there on.
+    Its first pos symbols are out's, whose run matched the base, so it
+    never stops before the cut, and the snapshots are those of full
+    trials: trim keeps the same trials for the same execs.
 
     Trim executions never merge into the campaign maps: they re-cover a
     subset of an already-merged run, and polluting the virgin maps with
@@ -320,7 +341,7 @@ def trim(c: Campaign, seq) -> "tuple[int, ...]":
             c.execs += 1
             done = snap[0][2] if snap else 0
             trial = out[done:pos] + out[pos + chunk:]
-            if _solo_signature(c, trial, snap, pos) == base:
+            if _solo_signature(c, trial, snap, pos, base[3]) == base:
                 del out[pos:pos + chunk]
             else:
                 pos += chunk

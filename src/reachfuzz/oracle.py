@@ -45,7 +45,12 @@ def bfs_reachability(
     order, and its witness is rebuilt by walking those lists back to the
     initial state. Rejected steps are dead ends. complete is True iff the
     frontier was exhausted under both caps with no expansion skipped.
+    ValueError refuses a state_cap below 1 or a negative depth_cap.
     """
+    if state_cap < 1:
+        raise ValueError(f"state_cap is below 1 ({state_cap})")
+    if depth_cap < 0:
+        raise ValueError(f"depth_cap is negative ({depth_cap})")
     expand, classes = compile_expand(program)
     error_ids = list_error_ids(program)
     initial = program.initial_values()

@@ -37,7 +37,7 @@ def project_trace(trace, s) -> "tuple[int, ...]":
 
 
 class Run(NamedTuple):
-    status: str
+    status: "str | None"  # None: stopped outside allow
     error_id: "int | None"
     steps: int
     counts: bytearray  # the branch map, hit counts clamped at 255
@@ -49,17 +49,20 @@ class Run(NamedTuple):
         return tuple(key for key, _ in self.entries)
 
 
-def run_target(target, seq, snap=None, cut=-1) -> Run:
+def run_target(target, seq, snap=None, cut=-1, allow=None) -> Run:
     """Run target.fn on seq with fresh buffers; GlobalMaps.merge takes
     (bytearray(run.counts), run.touched, run.entries).
 
     snap, when given, is a snapshot list of target.fn ([] for the
     initial state): the run resumes from it over seq, the symbols after
     its steps, so the Run covers the whole input. With cut, the run moves
-    snap on to its cut-th step."""
+    snap on to its cut-th step. With allow, a set of state-map indices,
+    the run stops (status None) on its first step outside it."""
     hits, touched, entries = [0] * MAP_SIZE, [], []
     start = load_snapshot(snap, hits, touched, entries)
-    status, error_id = target.fn(seq, hits, touched, entries, target.key_cache, start, cut, snap)
+    status, error_id = target.fn(
+        seq, hits, touched, entries, target.key_cache, start, cut, snap, allow
+    )
     counts = bytearray(MAP_SIZE)
     for i in touched:
         counts[i] = min(hits[i], 255)

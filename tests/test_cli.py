@@ -297,6 +297,21 @@ def test_oracle_lists_witnesses(tmp_path, capsys):
     assert "error 7: reachable, witness=1 2, len=2" in out
 
 
+@pytest.mark.parametrize(
+    "caps, reason",
+    [
+        (["--state-cap", "0"], "state_cap is below 1 (0)"),
+        (["--state-cap", "-5"], "state_cap is below 1 (-5)"),
+        (["--depth-cap", "-1"], "depth_cap is negative (-1)"),
+    ],
+)
+def test_oracle_refuses_a_meaningless_cap(tmp_path, capsys, caps, reason):
+    f = tmp_path / "p.rrp"
+    f.write_text("inputs 1..2; var c = 0; step(in){ c = c + 1; }")
+    code, out, err = run(capsys, "oracle", str(f), *caps)
+    assert (code, out, err) == (2, "", f"cannot oracle: {reason}\n")
+
+
 def test_report_csv_ascending_and_verified(tmp_path, capsys):
     f = tmp_path / "p.rrp"
     f.write_text(generate_source(seed=3))

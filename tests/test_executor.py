@@ -388,6 +388,63 @@ def test_resume_past_step_2000_stops_on_the_step_limit():
     assert not check_resume(p, target, seq, DEFAULT_MAX_STEPS + 1)
 
 
+def allowed_runs(seed_count=12):
+    """(target, seq, full run, allow, stop) on family and deep-state sized
+    programs: allow holds the indices of the first stop entries of the
+    full run (all of them and one more when stop is None), and the stop
+    entry, if any, is the first one outside it."""
+    for params, seeds in ((dict(vars=4, domain=8, alphabet=10), range(seed_count // 2)),
+                          (dict(vars=8, domain=16, alphabet=10), range(3, 3 + seed_count // 2))):
+        for seed in seeds:
+            p, g, plan = build(generate_program(seed=seed, **params))
+            target = compile_target(p, g, plan)
+            rnd = random.Random(seed)
+            for _ in range(30):
+                seq = [rnd.randint(p.alphabet_lo, p.alphabet_hi) for _ in range(rnd.randint(1, 40))]
+                full = run_target(target, seq)
+                indices = [index for _, index in full.entries]
+                firsts = [j for j, index in enumerate(indices) if index not in indices[:j]]
+                stop = rnd.choice(firsts[1:] + [None])
+                allow = frozenset(indices[:stop] + ([MAP_SIZE] if stop is None else []))
+                yield target, seq, full, allow, stop
+
+
+def test_allow_stops_on_the_first_step_outside_it():
+    """A run with allow returns (None, None) on the step of the first
+    entry outside allow, with the buffers of a run of the symbols up to
+    it; a run that stays inside allow is the run without it."""
+    stopped = 0
+    for target, seq, full, allow, stop in allowed_runs():
+        r = run_target(target, seq, allow=allow)
+        if stop is None:
+            assert r == full
+            continue
+        stopped += 1
+        assert (r.status, r.error_id) == (None, None)
+        assert r.entries == full.entries[:stop + 1]
+        assert r[2:] == run_target(target, seq[:stop + 1])[2:]
+    assert stopped > 100
+
+
+def test_allow_stops_a_resumed_run_after_the_cut():
+    """The run that resumes from a snapshot stops where the run from the
+    initial state does: the self-call past a cut carries allow, and a run
+    from a start state checks it too. The snapshot is taken as without
+    allow."""
+    after_cut = 0
+    rnd = random.Random(4)
+    for target, seq, full, allow, stop in allowed_runs():
+        whole = run_target(target, seq, allow=allow)
+        cut = rnd.randint(1, stop if stop is not None else len(seq))
+        snap = []
+        assert run_target(target, seq, snap, cut, allow) == whole
+        assert snap == snapshot(target, seq, cut)
+        if snap:
+            assert run_target(target, seq[cut:], snap, allow=allow) == whole
+            after_cut += stop is not None
+    assert after_cut > 100
+
+
 def merge(maps, r):
     """Fold a run_target result into maps; returns (new_branch, new_state)."""
     return maps.merge(bytearray(r.counts), r.touched, r.entries)

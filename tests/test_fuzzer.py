@@ -209,6 +209,13 @@ def test_seeding_stops_at_the_budget():
     )
 
 
+@pytest.mark.parametrize("budget", [-1, -3])
+def test_init_campaign_refuses_a_negative_budget(budget):
+    p = parse_or_raise(ERROR_ON_TWO)
+    with pytest.raises(ValueError, match="max_execs is negative"):
+        init_campaign(p, max_execs=budget)
+
+
 def test_seeds_are_parentless_and_loop_cases_have_parents():
     c = init_campaign(generate_program(seed=2), seed=1)
     seed_count = len(c.queue)
@@ -307,6 +314,43 @@ def test_trim_matches_trim_by_full_runs():
                 out = trim(c, seq)
                 assert (out, c.execs - before) == trim_reference(c, seq)
     assert after_error > 20
+
+
+def test_trim_trials_stop_outside_the_base_index_set():
+    """On deep-state sized programs, trials stop early, only the trials
+    get the base run's index set, every stopped trial's last entry is its
+    first outside it, and each trim leaves c.scratch's hit counts zero
+    and matches trim_reference."""
+    stopped = 0
+    for seed in range(3, 6):
+        p = generate_program(seed=seed, vars=8, domain=16, alphabet=10)
+        c = init_campaign(p, seed=42)
+        fuzz_loop(c, max_execs=1500)
+        c.exec_budget = None
+        fn = c.target.fn
+        calls = []
+
+        def recorded(seq, m, t, sk, kc, start=None, cut=-1, snap=None, allow=None):
+            status, err = fn(seq, m, t, sk, kc, start, cut, snap, allow)
+            calls.append((allow, status, [index for _, index in sk]))
+            return status, err
+
+        c.target.fn = recorded
+        rnd = random.Random(seed)
+        for t in rnd.sample(c.queue, 6):
+            seq = t.input + tuple(rnd.randint(p.alphabet_lo, p.alphabet_hi) for _ in range(40))
+            calls.clear()
+            out = trim(c, seq)
+            assert c.scratch[0] == [0] * MAP_SIZE
+            (base_allow, _, base), *trials, (last_allow, _, _) = runs = calls[:]
+            assert base_allow is None and last_allow is None
+            for allow, status, indices in trials:
+                assert allow == set(base)
+                if status is None:
+                    stopped += 1
+                    assert indices[-1] not in allow and set(indices[:-1]) <= allow
+            assert (out, len(runs)) == trim_reference(c, seq)
+    assert stopped > 50
 
 
 def merge_reference(maps, result):

@@ -209,6 +209,13 @@ def test_depth_cap_marks_incomplete():
     assert len(full.reachable[1]) == 50
 
 
+@pytest.mark.parametrize("caps", [dict(state_cap=0), dict(state_cap=-5), dict(depth_cap=-1)])
+def test_meaningless_caps_are_refused(caps):
+    p = parse_or_raise("inputs 1..2; var c = 0; step(in){ c = c + 1; }")
+    with pytest.raises(ValueError, match="state_cap is below 1|depth_cap is negative"):
+        bfs_reachability(p, **caps)
+
+
 def test_invalid_steps_are_not_transitions():
     p = parse_or_raise(
         "inputs 1..2; var s = 0; step(in){ "
