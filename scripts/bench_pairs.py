@@ -5,17 +5,19 @@ Usage:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload deep-state --pairs 10 --first-seed 7201 \\
         --out BENCH_name.json [--seconds 10] [--trace 0] [--digests] \\
-        [--label name] [--what "what the change does"] [--machine "..."]
+        [--what "what the change does"] [--machine "..."]
 
 Pair i runs `python3 perfbench/run.py --workload <w> --seed <first-seed
 + i> --seconds <s> --trace <t>` in both checkouts, one process at a
 time: the parent first in even pairs (the first pair included), the
 change first in odd ones. Each run's last stdout line is its result.
 
-When --out already exists, the new runs join its runs (a run of the
-same trace, workload, side and seed replaces the old one), so one file
-can collect several workloads and both trace levels. The summary is
-recomputed from all runs: per trace level, workload and metric, the
+The file's label is the --out name after BENCH_. When --out already
+exists, the new runs are appended to its runs, so one file can collect
+several workloads and both trace levels; a set that repeats a trace
+level, workload and seed already in the file is refused before anything
+runs, so every run made stays in the file. Each run records its
+--seconds. The summary is recomputed from all runs: per trace level, workload and metric, the
 median of each side and `change_better_pairs`, "k of n": the pairs in
 which the change's value is strictly better, in the direction that the
 change checkout's BENCHMARK.json gives the metric. With --digests, each
@@ -63,15 +65,15 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     }
 
 
-def run_pairs(checkouts: dict, workload: str, pairs: int, first_seed: int, seconds: float,
+def run_pairs(checkouts: dict, workload: str, seeds: range, seconds: float,
               trace: int) -> "list[dict]":
-    """The runs of `pairs` alternating pairs, in the order they ran."""
+    """The runs of one alternating pair per seed, in the order they ran."""
     runs = []
-    for i in range(pairs):
-        seed = first_seed + i
+    for i, seed in enumerate(seeds):
         for side in SIDES if i % 2 == 0 else SIDES[::-1]:
             record = run_once(checkouts[side], workload, seed, seconds, trace)
-            runs.append({"workload": workload, "side": side, "seed": seed, **record})
+            runs.append({"workload": workload, "side": side, "seed": seed, "seconds": seconds,
+                         **record})
     return runs
 
 
@@ -117,25 +119,24 @@ def summarize(runs: dict, better: dict) -> dict:
     return summary
 
 
+def seed_ranges(seeds: "list[int]") -> str:
+    """Sorted seeds as runs of consecutive ones: "1-3, 5"."""
+    parts, first = [], 0
+    for i, seed in enumerate(seeds):
+        if i + 1 == len(seeds) or seeds[i + 1] != seed + 1:
+            parts.append(f"{seeds[first]}-{seed}" if first < i else f"{seed}")
+            first = i + 1
+    return ", ".join(parts)
+
+
 def describe_order(runs: dict) -> str:
     sets = []
     for trace, records in runs.items():
         for workload in dict.fromkeys(r["workload"] for r in records):
             seeds = sorted({r["seed"] for r in records if r["workload"] == workload})
-            sets.append(f"{trace} {workload} seeds {seeds[0]}-{seeds[-1]}")
+            sets.append(f"{trace} {workload} seeds {seed_ranges(seeds)}")
     return ("pairs alternate which side runs first, starting with the parent; "
             + "; ".join(sets) + ". One process ran at a time.")
-
-
-def merge_runs(old: dict, trace_key: str, new: "list[dict]") -> dict:
-    """old's runs with new's added under trace_key, replacing any run of
-    the same workload, side and seed."""
-    runs = {k: list(v) for k, v in old.items()}
-    replaced = {(r["workload"], r["side"], r["seed"]) for r in new}
-    kept = [r for r in runs.get(trace_key, [])
-            if (r["workload"], r["side"], r["seed"]) not in replaced]
-    runs[trace_key] = kept + new
-    return dict(sorted(runs.items()))
 
 
 def main(argv=None) -> int:
@@ -149,7 +150,6 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True, help="the BENCH_*.json to write")
     parser.add_argument("--digests", action="store_true", help="also record campaign digests")
-    parser.add_argument("--label", help="default: the --out name after BENCH_")
     parser.add_argument("--what", help="what the change does")
     parser.add_argument("--machine", help="the machine the runs ran on")
     args = parser.parse_args(argv)
@@ -158,15 +158,23 @@ def main(argv=None) -> int:
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     old = json.loads(args.out.read_text()) if args.out.exists() else {}
-    new = run_pairs(checkouts, args.workload, args.pairs, args.first_seed, args.seconds,
-                    args.trace)
-    runs = merge_runs(old.get("runs", {}), f"trace {args.trace}", new)
+    trace_key = f"trace {args.trace}"
+    seeds = range(args.first_seed, args.first_seed + args.pairs)
+    ran = sorted({r["seed"] for r in old.get("runs", {}).get(trace_key, [])
+                  if r["workload"] == args.workload and r["seed"] in seeds})
+    if ran:
+        parser.error(f"{args.out} already has {trace_key} {args.workload} runs of seeds "
+                     f"{seed_ranges(ran)}")
+    runs = dict(old.get("runs", {}))
+    runs[trace_key] = runs.get(trace_key, []) + run_pairs(
+        checkouts, args.workload, seeds, args.seconds, args.trace)
+    runs = dict(sorted(runs.items()))
     doc = {
-        "label": args.label or old.get("label") or args.out.stem.removeprefix("BENCH_"),
+        "label": args.out.stem.removeprefix("BENCH_"),
         "what": args.what or old.get("what", ""),
-        "command": (f"python3 perfbench/run.py --workload <w> --seed <seed> --seconds "
-                    f"{args.seconds:g} --trace <0|1>, run in the parent's checkout and the "
-                    "change's by scripts/bench_pairs.py"),
+        "command": ("python3 perfbench/run.py --workload <w> --seed <seed> --seconds <s> "
+                    "--trace <0|1>, run in the parent's checkout and the change's by "
+                    "scripts/bench_pairs.py; each run records its seconds"),
         "machine": args.machine or old.get("machine", ""),
         "order": describe_order(runs),
         "digests": old.get("digests"),

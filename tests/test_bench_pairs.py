@@ -42,9 +42,10 @@ def stub(root: Path, side: str, log: Path, wall: float, rate: float) -> Path:
     return root
 
 
-def bench(tmp_path, *args):
-    subprocess.run([sys.executable, str(SCRIPT), "--parent", str(tmp_path / "p"),
-                    "--change", str(tmp_path / "c"), *args], check=True, cwd=tmp_path)
+def bench(tmp_path, *args, check=True):
+    return subprocess.run([sys.executable, str(SCRIPT), "--parent", str(tmp_path / "p"),
+                           "--change", str(tmp_path / "c"), *args], check=check, cwd=tmp_path,
+                          capture_output=True, text=True)
 
 
 def test_pairs_alternate_and_summarize(tmp_path):
@@ -67,8 +68,8 @@ def test_pairs_alternate_and_summarize(tmp_path):
     assert doc["digests"]["change"] == ["campaigns change"]
     runs = doc["runs"]["trace 0"]
     assert [(r["side"], r["seed"]) for r in runs][:2] == [("parent", 10), ("change", 10)]
-    assert runs[0] == {"workload": "deep-state", "side": "parent", "seed": 10, "correct": True,
-                       "attempted": 4, "failed": 0,
+    assert runs[0] == {"workload": "deep-state", "side": "parent", "seed": 10, "seconds": 2.0,
+                       "correct": True, "attempted": 4, "failed": 0,
                        "metrics": {"wall_s": 2.0, "execs_per_s": 110.0, "errors_found": 7}}
     summary = doc["summary"]["trace 0"]["deep-state"]
     assert summary["wall_s"] == {"parent_median": 2.0, "change_median": 1.5,
@@ -77,14 +78,25 @@ def test_pairs_alternate_and_summarize(tmp_path):
                                       "change_better_pairs": "0 of 3"}
     assert summary["errors_found"]["change_better_pairs"] == "0 of 3"
 
-    # a second set joins the file; a rerun of a seed replaces its runs
+    # a set that repeats a seed already in the file is refused before it runs
+    before, ran = out.read_text(), log.read_text()
+    refused = bench(tmp_path, "--workload", "deep-state", "--pairs", "2", "--first-seed", "12",
+                    "--out", str(out), check=False)
+    assert refused.returncode == 2
+    assert "already has trace 0 deep-state runs of seeds 12" in refused.stderr
+    assert out.read_text() == before and log.read_text() == ran
+
+    # other sets join the file, each run with its own seconds
     bench(tmp_path, "--workload", "family", "--pairs", "1", "--first-seed", "10",
           "--out", str(out), "--trace", "1")
-    bench(tmp_path, "--workload", "deep-state", "--pairs", "1", "--first-seed", "12",
-          "--out", str(out))
+    bench(tmp_path, "--workload", "deep-state", "--pairs", "1", "--first-seed", "14",
+          "--seconds", "3", "--out", str(out))
     doc = json.loads(out.read_text())
     assert sorted(doc["runs"]) == ["trace 0", "trace 1"]
-    assert len(doc["runs"]["trace 0"]) == 6 and len(doc["runs"]["trace 1"]) == 2
+    assert len(doc["runs"]["trace 0"]) == 8 and len(doc["runs"]["trace 1"]) == 2
+    assert [r["seconds"] for r in doc["runs"]["trace 0"]] == [2.0] * 6 + [3.0] * 2
+    assert doc["label"] == "stub"
     assert doc["digests"]["change"] == ["campaigns change"]
     assert doc["summary"]["trace 1"]["family"]["wall_s"]["change_better_pairs"] == "1 of 1"
-    assert "trace 0 deep-state seeds 10-12" in doc["order"]
+    assert doc["summary"]["trace 0"]["deep-state"]["wall_s"]["change_better_pairs"] == "4 of 4"
+    assert "trace 0 deep-state seeds 10-12, 14; trace 1 family seeds 10" in doc["order"]
