@@ -2,8 +2,8 @@
 
 Generates a reactive program, validates it, shows the instrumentation
 plan and interval summary, runs a short campaign, checks the findings
-against the exhaustive reachability oracle, and ends with the verdict
-table. A compact tour of the public API.
+against the exhaustive reachability oracle (with the box and width of
+its state keys), and ends with the verdict table. A compact tour of the public API.
 
 Usage:
     python scripts/demo_pipeline.py
@@ -13,15 +13,17 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import math
 import tempfile
 from pathlib import Path
 
 from reachfuzz.cfg import assign_block_tags, build_cfg, count_paths
+from reachfuzz.executor import compile_expand
 from reachfuzz.frontend import list_error_ids, parse_or_raise
 from reachfuzz.fuzzer import fuzz_loop, init_campaign, write_outputs
 from reachfuzz.gen import generate_source
 from reachfuzz.instrument import select_instrumentation
-from reachfuzz.interval import analyze
+from reachfuzz.interval import analyze, inductive_box
 from reachfuzz.oracle import bfs_reachability
 
 
@@ -50,8 +52,9 @@ def main() -> int:
 
     print("\n== value analysis ==")
     summary = analyze(program)
+    box, _ = inductive_box(program)
     for name, iv in summary.global_bounds.items():
-        print(f"  {name}: {iv}")
+        print(f"  {name}: {iv}, oracle box {box[name]}")
     print(f"  input constants: {sorted(summary.input_constants) or 'none'}")
 
     print("\n== campaign ==")
@@ -63,6 +66,9 @@ def main() -> int:
     print(f"campaign written to {out_dir}")
 
     print("\n== oracle cross-check ==")
+    digits = compile_expand(program)[2]
+    width = (math.prod(radix for _, radix in digits) - 1).bit_length()
+    print(f"oracle keys: {len(digits)} digits, {width} bits")
     oracle = bfs_reachability(program, state_cap=10**5)
     print(f"explored {oracle.explored_states} states "
           f"({'complete' if oracle.complete else 'capped'})")

@@ -18,7 +18,9 @@ unknown and the input at the alphabet (the target) or at one input
 class (each body of the expander). The test suite checks both against
 the AST reference interpreter, frontend.reference_step, which also runs
 inputs for `replay` and witnesses for `report`. Neither generator makes
-a line for `emit`: no caller reads the outputs of a compiled run.
+a line for `emit`: no caller reads the outputs of a compiled run. The
+expander's assignments also keep each successor's oracle key (pack_key)
+current.
 """
 
 from __future__ import annotations
@@ -30,7 +32,15 @@ from operator import itemgetter
 from .cfg import CapacityError, Cfg, Exit, Jump, build_cfg
 from .frontend import I64_MAX, I64_MIN, Assign, Binary, IntLit, Name, Program, Unary, is_arith
 from .instrument import InstrumentationPlan
-from .interval import TOP, Interval, _collect_input_constants, _truth, assignment_bounds, eval_abs
+from .interval import (
+    TOP,
+    Interval,
+    _collect_input_constants,
+    _truth,
+    assignment_bounds,
+    eval_abs,
+    inductive_box,
+)
 
 MAP_SIZE = 65536  # branch-pair byte map entries; also state-map indices
 DEFAULT_MAX_STEPS = 4096
@@ -132,13 +142,20 @@ class _ExprGen:
     condition whose interval has a definite truth value is decided, and a
     decided operand of && or || is dropped. reads_input records whether
     any emitted expression still names the input parameter.
+
+    scale maps the generated name of each global to its key multiplier
+    in the oracle's expander (compile_expand), whose assignments keep
+    the state key nk current; it is empty for the campaign target.
     """
 
-    def __init__(self, rename: dict, bounds: dict, env: dict, param: str):
+    def __init__(
+        self, rename: dict, bounds: dict, env: dict, param: str, scale: "dict | None" = None
+    ):
         self.rename = rename
-        self.bounds = bounds  # interval.assignment_bounds of the program
+        self.bounds = bounds  # assignment bounds of the program's step
         self.env = env
         self.param = param
+        self.scale = scale or {}
         self.reads_input = False
         self.known: dict = {}  # id of a condition -> its decision
 
@@ -212,28 +229,62 @@ class _ExprGen:
 
     def assign(self, target: str, st: Assign, pad: str) -> "list[str]":
         """Statements storing the exact signed-64 value of st's expression
-        in target.
+        in target, and, when target has a scale M, keeping nk current.
 
         An arithmetic result is wrapped only when it leaves the signed
         64-bit range, and it is tested only on a side that its bound
         before wrapping passes: a comparison costs less than the three
         big-int operations of an unconditional wrap. An assignment with
         no bound (no feasible path reaches it) keeps both tests.
+
+        nk changes by a constant where it can: by c*M for target =
+        target + c or c + target, and by -c*M for target - c, when there
+        is no wrap test; and by (c - target)*M before target = c. Any
+        other assignment takes target*M off nk before it and adds it back
+        after it.
         """
         e = st.expr
-        if not is_arith(e):
-            return [f"{pad}{target} = {self.wrapped(e)}"]
-        bound = self.bounds.get(id(st), TOP)
         tests = []
-        if bound.hi > I64_MAX:
-            tests.append(f"{target} > {I64_MAX}")
-        if bound.lo < I64_MIN:
-            tests.append(f"{target} < {I64_MIN}")
-        lines = [f"{pad}{target} = {self.value(e)}"]
-        if tests:
-            lines.append(f"{pad}if {' or '.join(tests)}:")
-            lines.append(f"{pad}    {target} = {_wrap_src(target)}")
-        return lines
+        if not is_arith(e):
+            lines = [f"{pad}{target} = {self.wrapped(e)}"]
+        else:
+            bound = self.bounds.get(id(st), TOP)
+            if bound.hi > I64_MAX:
+                tests.append(f"{target} > {I64_MAX}")
+            if bound.lo < I64_MIN:
+                tests.append(f"{target} < {I64_MIN}")
+            lines = [f"{pad}{target} = {self.value(e)}"]
+            if tests:
+                lines.append(f"{pad}if {' or '.join(tests)}:")
+                lines.append(f"{pad}    {target} = {_wrap_src(target)}")
+        m = self.scale.get(target)
+        if m is None:
+            return lines
+        if isinstance(e, IntLit):
+            return [f"{pad}nk += {_times(f'{e.value} - {target}', m)}", *lines]
+        c = None if tests else _increment(e, st.name)
+        if c is not None:
+            return [f"{pad}nk += {c * m}", *lines]
+        held = _times(target, m)
+        return [f"{pad}nk -= {held}", *lines, f"{pad}nk += {held}"]
+
+
+def _times(src: str, m: int) -> str:
+    """Source for src * m, for an int m."""
+    return src if m == 1 else f"({src}) * {m}"
+
+
+def _increment(e, name: str) -> "int | None":
+    """c when e is name + c or c + name, and -c when e is name - c, for
+    a literal c; else None."""
+    if not isinstance(e, Binary) or e.op not in ("+", "-"):
+        return None
+    lhs, rhs = e.lhs, e.rhs
+    if e.op == "+" and isinstance(lhs, IntLit):
+        lhs, rhs = rhs, lhs
+    if isinstance(lhs, Name) and lhs.ident == name and isinstance(rhs, IntLit):
+        return rhs.value if e.op == "+" else -rhs.value
+    return None
 
 
 _DEAD = -1  # known-prev value of a path that has left the step loop
@@ -260,7 +311,7 @@ def _probe(lines: "list[str]", pad: str, prev: "int | None", tag: int) -> None:
 # oracle's expander records the error and moves on to the next symbol.
 _BREAK_ERROR = ("st = 'error'", "err = {k}", "break")
 _BREAK_REJECT = ("st = 'invalid_input'", "break")
-_SKIP_ERROR = ("if {k} not in found:", "    found[{k}] = (values, _s)", "continue")
+_SKIP_ERROR = ("if {k} not in found:", "    found[{k}] = (key, _s)", "continue")
 _SKIP_REJECT = ("continue",)
 
 
@@ -377,18 +428,18 @@ def _emit_body(
     return prev, if_end
 
 
-def _names(program: Program) -> "tuple[_ExprGen, str, str]":
+def _names(program: Program, bounds: dict) -> "tuple[_ExprGen, str, str]":
     """Expression generator over the generated names (_g<i> for the i-th
-    global, _s for the symbol), with every global at TOP and the input at
-    the alphabet interval; the unpack target of a valuation and the
-    source of the valuation tuple."""
+    global, _s for the symbol), with the assignment bounds bounds, every
+    global at TOP and the input at the alphabet interval; the unpack
+    target of a valuation and the source of the valuation tuple."""
     rename = {name: f"_g{i}" for i, (name, _) in enumerate(program.globals)}
     rename[program.param] = "_s"
     gvars = [rename[name] for name in program.global_names()]
     unpack = "".join(v + ", " for v in gvars)
     env = dict.fromkeys(program.global_names(), TOP)
     env[program.param] = Interval(program.alphabet_lo, program.alphabet_hi)
-    gen = _ExprGen(rename, assignment_bounds(program), env, program.param)
+    gen = _ExprGen(rename, bounds, env, program.param)
     return gen, unpack, f"({unpack})"
 
 
@@ -484,7 +535,7 @@ def compile_target(program: Program, g: Cfg, plan: InstrumentationPlan) -> Compi
     """
     if g.tags is None:
         raise ValueError("cfg carries no tag table")
-    gen, unpack, tuple_src = _names(program)
+    gen, unpack, tuple_src = _names(program, assignment_bounds(program))
     lo, hi = program.alphabet_lo, program.alphabet_hi
 
     lines = [
@@ -560,21 +611,54 @@ def _input_classes(program: Program) -> "list[range]":
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
+def pack_key(values, digits) -> int:
+    """The oracle key of a valuation in the box of digits, a (lo, radix)
+    pair per global: the sum of (value - lo) * M over the globals, where
+    M is the product of the radices before it."""
+    key, m = 0, 1
+    for v, (lo, radix) in zip(values, digits):
+        key += (v - lo) * m
+        m *= radix
+    return key
+
+
+def unpack_key(key: int, digits) -> "tuple[int, ...]":
+    """The valuation whose pack_key is key."""
+    values = []
+    for lo, radix in digits:
+        key, d = divmod(key, radix)
+        values.append(lo + d)
+    return tuple(values)
+
+
 @_nesting_limit
 def compile_expand(program: Program):
     """Uninstrumented expansion of a whole BFS level, for exhaustive
-    exploration.
+    exploration, keyed by pack_key.
 
-    Returns (expand, classes), where classes holds, per generated body,
-    the symbols it runs for. expand(frontier, seen, append, link, found,
-    cap, classes) -> bool steps each state of frontier, in order, by
-    every alphabet symbol, in alphabet order:
-    - an error k not yet in found sets found[k] = (state, symbol);
+    Returns (expand, classes, digits): classes holds, per generated body,
+    the symbols it runs for, and digits the (lo, radix) of each global's
+    digit in the keys, from interval.inductive_box. expand(frontier,
+    keys, seen, append, keep, link, found, cap, classes) -> bool steps
+    each state of frontier, in order, by every alphabet symbol, in
+    alphabet order; keys holds the pack_key of each state of frontier, at
+    the same index:
+    - an error k not yet in found sets found[k] = (key, symbol), key
+      being the state's;
     - a rejected step is a dead end;
-    - a completed step's valuation v that is not in the set seen is
-      added to it and passed to append, and the state it was stepped
-      from to link, while len(seen) < cap.
+    - a completed step's valuation v whose key is not in the set seen
+      has its key added to it and passed to keep, v passed to append,
+      and the key of the state it was stepped from to link, while
+      len(seen) < cap.
     The result is True iff cap refused a new valuation.
+
+    Contract: every state of frontier lies in the box, as every
+    reachable state does. The wrap tests and the key of a successor
+    rest on it: each body starts with nk = key and each assignment keeps
+    nk current (_ExprGen.assign), so a successor is looked up in seen
+    by its key, with no tuple built or hashed unless it is new. The
+    step is walked once, by inductive_box, which also gives the wrap
+    tests their bounds.
 
     The alphabet is cut into input classes (_input_classes), and each
     class gets its own body, folded as the campaign target is but with
@@ -589,15 +673,21 @@ def compile_expand(program: Program):
     the others empty steps by that symbol alone.
     """
     g = build_cfg(program)
-    gen, unpack, tuple_src = _names(program)
+    box, bounds = inductive_box(program)
+    gen, unpack, tuple_src = _names(program, bounds)
+    digits = tuple((iv.lo, iv.hi - iv.lo + 1) for iv in box.values())
+    scale, m = {}, 1
+    for name, (_, radix) in zip(box, digits):
+        scale[gen.rename[name]] = m
+        m *= radix
     pad = "            "
     epilogue = [
-        f"{pad}v = {tuple_src}",
-        f"{pad}if v not in seen:",
+        f"{pad}if nk not in seen:",
         f"{pad}    if len(seen) < cap:",
-        f"{pad}        seen_add(v)",
-        f"{pad}        append(v)",
-        f"{pad}        link(values)",
+        f"{pad}        seen_add(nk)",
+        f"{pad}        append({tuple_src})",
+        f"{pad}        keep(nk)",
+        f"{pad}        link(key)",
         f"{pad}    else:",
         f"{pad}        full = True",
     ]
@@ -606,8 +696,9 @@ def compile_expand(program: Program):
     merged: set = set()
     for run in _input_classes(program):
         env = dict(gen.env, **{program.param: Interval(run.start, run.stop - 1)})
-        fold = _ExprGen(gen.rename, gen.bounds, env, program.param)
+        fold = _ExprGen(gen.rename, bounds, env, program.param, scale)
         body = [f"{pad}{unpack}= values"] if unpack else []
+        body.append(f"{pad}nk = key")
         end, _ = _emit_body(
             g, frozenset(), fold, body, g.entry, None, 3,
             on_error=_SKIP_ERROR, on_reject=_SKIP_REJECT,
@@ -627,18 +718,18 @@ def compile_expand(program: Program):
         bodies.append(body)
 
     lines = [
-        "def _expand(frontier, seen, append, link, found, cap, classes):",
+        "def _expand(frontier, keys, seen, append, keep, link, found, cap, classes):",
         "    full = False",
         "    seen_add = seen.add",
     ]
     if bodies:
         lines.append("    " + "".join(f"c{j}, " for j in range(len(bodies))) + "= classes")
-    lines.append("    for values in frontier:")
+    lines.append("    for values, key in zip(frontier, keys):")
     for j, body in enumerate(bodies):
         lines.append(f"        for _s in c{j}:")
         lines.extend(body)
     if not bodies:
         lines.append("        pass")
     lines.append("    return full")
-    return _compile("\n".join(lines) + "\n", "<compiled-expand>", "_expand"), tuple(classes)
-
+    expand = _compile("\n".join(lines) + "\n", "<compiled-expand>", "_expand")
+    return expand, tuple(classes), digits

@@ -4,7 +4,9 @@ Two products: per-variable bounds on the global state across any number
 of steps (inter-step fixpoint with widening and one narrowing pass), and
 the set of literals the input parameter is compared against, turned into
 a weighted symbol pool that restricts mutation to values the program
-actually distinguishes.
+actually distinguishes. Besides them, inductive_box gives the oracle a
+box that holds every reachable valuation, checked by one abstract step
+rather than by the fixpoint.
 
 Bounds use extended integers: infinite endpoints are idealized "no bound
 known" markers and arithmetic flows through them without wraparound, the
@@ -404,6 +406,59 @@ def assignment_bounds(program: Program) -> dict:
     env = dict.fromkeys(program.global_names(), I64)
     abstract_step(program, env, Interval(program.alphabet_lo, program.alphabet_hi), bounds)
     return bounds
+
+
+def _literal_hull(program: Program) -> Interval:
+    """The hull of the initial values, the literals assigned to globals,
+    and each literal of an ordering comparison with its two neighbours,
+    clamped to I64."""
+    lits = list(program.initial_values())
+    for st in walk_stmts(program.body):
+        if not isinstance(st, (Assign, If)):
+            continue
+        if isinstance(st, Assign) and isinstance(st.expr, IntLit):
+            lits.append(st.expr.value)
+        for e in walk_exprs(st.expr if isinstance(st, Assign) else st.cond):
+            if isinstance(e, Binary) and e.op in ("<", "<=", ">", ">="):
+                for side in (e.lhs, e.rhs):
+                    if isinstance(side, IntLit):
+                        lits.extend((side.value - 1, side.value, side.value + 1))
+    return Interval(min(lits), max(lits)).meet(I64)
+
+
+def inductive_box(program: Program) -> "tuple[dict, dict]":
+    """(box, bounds): a global name -> Interval box that holds every
+    reachable valuation, and the assignment_bounds of one step from any
+    valuation in the box.
+
+    The guess puts every global at _literal_hull. One abstract_step from
+    the box, with the input at the alphabet interval and bounds recorded
+    as generated code computes them, gives the box's successors; a
+    global whose successor interval the box does not cover is put at
+    I64, and the check runs again. So it ends after at most one walk
+    per global more than the first, since a box of I64 only maps into
+    itself.
+
+    Why it holds every reachable valuation: the box holds the initial
+    valuation (the guess has the initial values, I64 has every value),
+    and abstract_step is sound, so a step from any valuation in the box
+    by any symbol of the alphabet that completes lands in its result,
+    which the box covers. By induction on the steps, every valuation
+    reached from the initial one lies in the box. The bounds come from
+    the last walk, so they bound each assignment from any valuation in
+    the box, and hence from every reachable one.
+    """
+    names = program.global_names()
+    hull = _literal_hull(program) if names else I64
+    box = dict.fromkeys(names, hull)
+    input_iv = Interval(program.alphabet_lo, program.alphabet_hi)
+    while True:
+        bounds: dict = {}
+        out = abstract_step(program, box, input_iv, bounds)
+        loose = [n for n in names if out is not None and not box[n].covers(out[n])]
+        if not loose:
+            return box, bounds
+        box.update(dict.fromkeys(loose, I64))
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,27 @@
 """Exhaustive breadth-first reachability over the reactive state space.
 
-Ground truth for small programs: states are exact global valuations
-(collision-free, unlike the fuzzer's hashed maps), and transitions come
-from the same code generator as the campaign target. The expander cuts
-the alphabet into input classes and folds the step body once per class,
-and one generated call expands a whole BFS level. The visited states
-are a set; each level lists its new states and, at the same index, the
-state each was first reached from. Witnesses are rebuilt afterwards by
-re-expanding those parents, and BFS order makes every one a shortest
-one. Caps turn exhaustion into an honest complete=False instead of an
-error.
+Ground truth for small programs: states are exact global valuations,
+and transitions come from the same code generator as the campaign
+target. The expander cuts the alphabet into input classes and folds the
+step body once per class, and one generated call expands a whole BFS
+level. Only the level being expanded is held as valuation tuples; the
+visited set and the earlier levels hold one int key per state. A key is
+a mixed-radix number with one digit per global, the global's offset in
+interval.inductive_box's box, which holds every reachable valuation. So
+keys are a bijection on the reachable states: collision-free, unlike
+the fuzzer's hashed maps. Each level lists the keys of its new states
+and, at the same index, the key of the state each was first reached
+from. Witnesses are rebuilt afterwards by re-expanding those parents,
+decoded from their keys, and BFS order makes every one a shortest one.
+Caps turn exhaustion into an honest complete=False instead of an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .executor import compile_expand
+from .executor import compile_expand, pack_key, unpack_key
 from .frontend import Program, list_error_ids
 
 DEFAULT_STATE_CAP = 10**6
@@ -38,11 +43,13 @@ def bfs_reachability(
     """Explore every reachable valuation, level by level, expanding each
     level by every alphabet symbol in one generated call.
 
-    seen is the set of valuations met so far. Each level keeps two
-    parallel lists: its new states, and at the same index the state each
-    was first reached from, the only memory kept per state besides seen.
-    Each error id keeps the first (state, symbol) that reached it in BFS
-    order, and its witness is rebuilt by walking those lists back to the
+    seen is the set of the keys of the valuations met so far (see the
+    module docstring). Each level keeps two parallel lists: the keys of
+    its new states, and at the same index the key of the state each was
+    first reached from, the only memory kept per state besides seen; the
+    next frontier's valuations are dropped once it is expanded. Each
+    error id keeps the first (key, symbol) that reached it in BFS order,
+    and its witness is rebuilt by walking those lists back to the
     initial state. Rejected steps are dead ends. complete is True iff the
     frontier was exhausted under both caps with no expansion skipped.
     ValueError refuses a state_cap below 1 or a negative depth_cap.
@@ -51,41 +58,51 @@ def bfs_reachability(
         raise ValueError(f"state_cap is below 1 ({state_cap})")
     if depth_cap < 0:
         raise ValueError(f"depth_cap is negative ({depth_cap})")
-    expand, classes = compile_expand(program)
+    expand, classes, digits = compile_expand(program)
     error_ids = list_error_ids(program)
     initial = program.initial_values()
+    start = pack_key(initial, digits)
 
-    seen = {initial}
-    levels = [([initial], [None])]  # per level: (states, their parents)
-    found: dict = {}  # error id -> (state, symbol)
+    seen = {start}
+    frontier = [initial]
+    levels = [([start], [None])]  # per level: (keys, their parents' keys)
+    found: dict = {}  # error id -> (key, symbol)
     found_ends = []  # per expanded level: len(found) after it
     complete = True
-    while levels[-1][0]:
+    while frontier:
         if len(levels) > depth_cap:
             complete = False
             break
         states: list = []
+        keys: list = []
         parents: list = []
-        if expand(levels[-1][0], seen, states.append, parents.append, found, state_cap, classes):
+        if expand(
+            frontier, levels[-1][0], seen, states.append, keys.append, parents.append,
+            found, state_cap, classes,
+        ):
             complete = False
         found_ends.append(len(found))
-        levels.append((states, parents))
+        levels.append((keys, parents))
+        frontier = states
 
     if not set(found) <= error_ids:
         raise RuntimeError(f"undeclared error ids {sorted(set(found) - error_ids)}")
 
     none = ((),) * len(classes)
 
-    def hop(parent, child) -> int:
-        """The smallest symbol that steps parent to child: the one BFS
-        took when child was first seen. The symbols are tried in the
-        expander's order, which ascends: a merged body's symbol is the
-        smallest of the classes it stands for."""
+    @cache
+    def hop(parent: int, child: int) -> int:
+        """The smallest symbol that steps the state keyed parent to the
+        one keyed child: the one BFS took when child was first seen. The
+        symbols are tried in the expander's order, which ascends: a
+        merged body's symbol is the smallest of the classes it stands
+        for."""
+        values = (unpack_key(parent, digits),)
         for j, symbols in enumerate(classes):
             for sym in symbols:
                 reached: list = []
                 expand(
-                    (parent,), set(), reached.append, [].append, {}, 1,
+                    values, (parent,), set(), [].append, reached.append, [].append, {}, 1,
                     none[:j] + ((sym,),) + none[j + 1:],
                 )
                 if reached == [child]:
@@ -94,16 +111,14 @@ def bfs_reachability(
 
     reachable: dict = {}
     level = 0
-    for i, (k, (state, sym)) in enumerate(found.items()):
+    for i, (k, (key, sym)) in enumerate(found.items()):
         while found_ends[level] <= i:
             level += 1
         symbols = [sym]
-        for states, parents in reversed(levels[1:level + 1]):
-            # the state is the very object stored in its level's list,
-            # and index tests identity before it compares two tuples
-            parent = parents[states.index(state)]
-            symbols.append(hop(parent, state))
-            state = parent
+        for keys, parents in reversed(levels[1:level + 1]):
+            parent = parents[keys.index(key)]
+            symbols.append(hop(parent, key))
+            key = parent
         reachable[k] = tuple(reversed(symbols))
     return OracleResult(
         reachable=reachable,

@@ -16,6 +16,7 @@ from reachfuzz.executor import (
     GlobalMaps,
     compile_expand,
     compile_target,
+    pack_key,
     state_entry,
     state_key,
 )
@@ -772,7 +773,7 @@ def test_decide_matches_eval_abs_on_every_operand_decision():
     decisions = set()
     for text in conds:
         p = parse_or_raise(f"inputs 1..3; var a = 0; step(in){{ if ({text}) {{ error 1; }} }}")
-        gen, _, _ = executor._names(p)
+        gen, _, _ = executor._names(p, {})
         cond = p.body[0].cond
         want = _truth(eval_abs(cond, gen.env))
         assert gen.decide(cond) is want, text
@@ -788,7 +789,7 @@ def test_wrap_tests_agree_with_reference_step():
     for name, text in WRAP_PROGRAMS.items():
         p, g, plan = build(text)
         target = compile_target(p, g, plan)
-        expand, classes = compile_expand(p)
+        expand, classes, digits = compile_expand(p)
         rnd = random.Random(name)
         for _ in range(6):
             seq = [rnd.randint(p.alphabet_lo, p.alphabet_hi) for _ in range(80)]
@@ -801,16 +802,21 @@ def test_wrap_tests_agree_with_reference_step():
                     successor[other] = tuple(nxt)
                     if tuple(nxt) not in want:
                         want.append(tuple(nxt))
-                reached, parents, seen = [], [], set()
-                assert expand([values], seen, reached.append, parents.append, {}, 10**9, classes) is False
+                key = pack_key(values, digits)
+                reached, kept, seen = [], [], set()
+                assert expand([values], [key], seen, reached.append, kept.append, [].append,
+                              {}, 10**9, classes) is False
                 assert reached == want, (name, values)
+                assert kept == [pack_key(v, digits) for v in want], (name, values)
                 for j, symbols in enumerate(classes):
                     for other in symbols:
                         # every body off but body j, which runs for other alone
                         one = tuple((other,) if i == j else () for i in range(len(classes)))
-                        reached = []
-                        expand([values], set(), reached.append, [].append, {}, 10**9, one)
+                        reached, kept = [], []
+                        expand([values], [key], set(), reached.append, kept.append, [].append,
+                               {}, 10**9, one)
                         assert reached == [successor[other]], (name, values, other)
+                        assert kept == [pack_key(successor[other], digits)], (name, values, other)
                 values = tuple(reference_step(p, values, sym)[2])
                 keys.append(state_key(values))
                 if any(abs(v) > 2**62 for v in values):

@@ -1,16 +1,17 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from collections import deque
 
 import pytest
 from runs import generate_program, replay
 
 import reachfuzz.oracle
-from reachfuzz.executor import _ExprGen, _names, compile_expand
+from reachfuzz.executor import _ExprGen, _names, compile_expand, pack_key, unpack_key
 from reachfuzz.frontend import list_error_ids, parse_or_raise, reference_step
 from reachfuzz.fuzzer import fuzz_loop, init_campaign
-from reachfuzz.interval import TOP, Interval
+from reachfuzz.interval import I64, TOP, Interval, inductive_box
 from reachfuzz.oracle import OracleResult, bfs_reachability
 
 TOGGLE = (
@@ -73,6 +74,21 @@ CLASS_PROGRAMS = (
     "if (a == 1 && in == 1) { error 1; } }",
 )
 
+# two globals that leave the literal hull [0, 5] of the box's first
+# guess (a reaches 6, b 18), so both fall back to I64
+BOX_PROGRAMS = (
+    "inputs 1..3; var a = 0; var b = 0; step(in){ "
+    "if (a < 4) { a = a + in; } else { a = 0; } b = a * 3; if (b == 15) { error 1; } }",
+)
+
+# the generator shapes and seeds of the benchmark's family, deep-state
+# and triage workloads
+BENCHMARK_SHAPES = (
+    (range(20), dict(vars=4, domain=8, alphabet=10)),
+    (range(3, 13), dict(vars=8, domain=16, alphabet=10)),
+    (range(1000, 1040), dict(vars=4, domain=8, alphabet=10, errors=20)),
+)
+
 
 def reference_bfs(program, state_cap: int, depth_cap: int) -> OracleResult:
     """The oracle as a queue of states, one AST-interpreted step per
@@ -125,7 +141,7 @@ def reference_bfs(program, state_cap: int, depth_cap: int) -> OracleResult:
 
 
 def small_programs():
-    yield from (parse_or_raise(text) for text in EDGE_PROGRAMS + CLASS_PROGRAMS)
+    yield from (parse_or_raise(text) for text in EDGE_PROGRAMS + CLASS_PROGRAMS + BOX_PROGRAMS)
     for seed in range(8):
         yield generate_program(vars=2, domain=3, alphabet=3, errors=4, seed=seed)
     for seed in range(4):
@@ -245,16 +261,33 @@ def test_bfs_matches_reference_bfs(state_cap, depth_cap):
         assert list(got.reachable) == list(want.reachable)
 
 
-def expand_state(expand, values, classes):
+def assert_keyed(states, keys, digits):
+    """Each state lies in the box of digits, its key is its pack_key,
+    and the key decodes back to it."""
+    assert len(keys) == len(states)
+    for values, key in zip(states, keys):
+        assert len(values) == len(digits)
+        assert all(lo <= v < lo + radix for v, (lo, radix) in zip(values, digits)), (values, digits)
+        assert key == pack_key(values, digits), values
+        assert unpack_key(key, digits) == values
+
+
+def expand_state(expand, values, classes, digits):
     """Expand one state under an unlimited cap: the new states in the
-    order they were appended, and found."""
+    order they were appended, and found. values and every new state are
+    keyed as assert_keyed checks, and values' key is the parent of each."""
+    key = pack_key(values, digits)
+    assert_keyed([values], [key], digits)
     reached: list = []
+    keys: list = []
     parents: list = []
     seen: set = set()
     found: dict = {}
-    assert expand([values], seen, reached.append, parents.append, found, 10**9, classes) is False
-    assert seen == set(reached)
-    assert parents == [values] * len(reached)
+    assert expand([values], [key], seen, reached.append, keys.append, parents.append,
+                  found, 10**9, classes) is False
+    assert_keyed(reached, keys, digits)
+    assert seen == set(keys)
+    assert parents == [key] * len(reached)
     return reached, found
 
 
@@ -269,19 +302,20 @@ def test_expander_matches_reference_step():
     symbol the expander lists, against the AST interpreter."""
     checked = 0
     for p in small_programs():
-        expand, classes = compile_expand(p)
+        expand, classes, digits = compile_expand(p)
         states = {p.initial_values()}
         todo = list(states)
         while todo:
             values = todo.pop()
+            key = pack_key(values, digits)
             outcome: dict = {}
             want_reached: list = []
             want_found: dict = {}
             for sym in p.alphabet():
                 status, err, nxt, _outs = reference_step(p, values, sym)
                 if status == "error":
-                    outcome[sym] = ([], {err: (values, sym)})
-                    want_found.setdefault(err, (values, sym))
+                    outcome[sym] = ([], {err: (key, sym)})
+                    want_found.setdefault(err, (key, sym))
                 elif status == "invalid_input":
                     outcome[sym] = ([], {})
                 else:
@@ -292,14 +326,69 @@ def test_expander_matches_reference_step():
                     if nxt not in states:
                         states.add(nxt)
                         todo.append(nxt)
-            reached, found = expand_state(expand, values, classes)
+            reached, found = expand_state(expand, values, classes, digits)
             assert reached == want_reached
             assert list(found.items()) == list(want_found.items())
             for j, symbols in enumerate(classes):
                 for sym in symbols:
-                    assert expand_state(expand, values, selecting(classes, j, sym)) == outcome[sym]
+                    one = selecting(classes, j, sym)
+                    assert expand_state(expand, values, one, digits) == outcome[sym]
                     checked += 1
     assert checked > 1000
+
+
+def test_benchmark_states_are_keyed_in_their_box():
+    """Level by level from the initial state under a cap of 3,000 states,
+    every state that the expander reaches in the benchmark's programs is
+    keyed as assert_keyed checks. No global falls back to I64 there, and
+    the radices are small."""
+    radices = set()
+    for seeds, shape in BENCHMARK_SHAPES:
+        for seed in seeds:
+            p = generate_program(seed=seed, **shape)
+            expand, classes, digits = compile_expand(p)
+            radices.update(radix for _, radix in digits)
+            frontier = [p.initial_values()]
+            keys = [pack_key(frontier[0], digits)]
+            seen = set(keys)
+            while frontier:
+                assert_keyed(frontier, keys, digits)
+                states: list = []
+                new_keys: list = []
+                expand(frontier, keys, seen, states.append, new_keys.append, [].append,
+                       {}, 3000, classes)
+                frontier, keys = states, new_keys
+    assert max(radices) <= 18
+
+
+def test_box_falls_back_to_i64_for_globals_that_leave_the_guess():
+    p = parse_or_raise(BOX_PROGRAMS[0])
+    box, _ = inductive_box(p)
+    assert box == {"a": I64, "b": I64}
+    _, _, digits = compile_expand(p)
+    assert digits == ((I64.lo, 2**64),) * 2
+    # a global that reaches both ends of its box: s is 0 or 1
+    p = parse_or_raise(TOGGLE)
+    assert inductive_box(p)[0] == {"s": Interval(0, 1)}
+    assert compile_expand(p)[2] == ((0, 2),)
+
+
+def test_oracle_memory_per_state():
+    """The visited set and the levels hold one int key per state: on
+    deep-state's gen seed 5 (15,258 states) the traced peak of
+    bfs_reachability is at most 110 bytes per explored state (about 90
+    with keys, about 155 with the tuples they replace)."""
+    p = generate_program(vars=8, domain=16, alphabet=10, seed=5)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        res = bfs_reachability(p)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (res.explored_states, res.complete) == (15258, True)
+    assert peak <= 110 * res.explored_states
 
 
 def classes_of(text: str) -> tuple:
@@ -350,7 +439,7 @@ def test_fold_drops_decided_operands():
     p = parse_or_raise(
         "inputs 1..4; var a = 0; step(in){ if (in < 5 && a == 0 || in == 9 || a == in) { a = 1; } }"
     )
-    gen = _names(p)[0]
+    gen = _names(p, {})[0]
     assert gen.env == {"a": TOP, "in": Interval(1, 4)}
     assert gen.truth(p.body[0].cond) == "((_g0 == 0) or (_g0 == _s))"
     assert gen.reads_input
@@ -358,26 +447,30 @@ def test_fold_drops_decided_operands():
 
 def test_expander_reports_a_refused_state():
     p = parse_or_raise("inputs 1..2; var a = 0; step(in){ a = in; }")
-    expand, classes = compile_expand(p)
+    expand, classes, digits = compile_expand(p)
+    k0, k1, k2 = (pack_key((a,), digits) for a in range(3))
     reached: list = []
+    keys: list = []
     parents: list = []
-    seen = {(0,), (1,)}
+    seen = {k0, k1}
     # (1,) is known, (2,) is new and the cap refuses it
-    assert expand([(0,)], seen, reached.append, parents.append, {}, 2, classes) is True
-    assert reached == [] and parents == [] and seen == {(0,), (1,)}
-    assert expand([(0,), (1,)], seen, reached.append, parents.append, {}, 3, classes) is False
-    assert reached == [(2,)] and parents == [(0,)] and seen == {(0,), (1,), (2,)}
+    assert expand([(0,)], [k0], seen, reached.append, keys.append, parents.append,
+                  {}, 2, classes) is True
+    assert reached == [] and keys == [] and parents == [] and seen == {k0, k1}
+    assert expand([(0,), (1,)], [k0, k1], seen, reached.append, keys.append, parents.append,
+                  {}, 3, classes) is False
+    assert reached == [(2,)] and keys == [k2] and parents == [k0] and seen == {k0, k1, k2}
 
 
 def test_undeclared_error_id_raises(monkeypatch):
     p = parse_or_raise(TOGGLE)
 
     def fake_compile_expand(program):
-        def expand(frontier, seen, append, link, found, cap, classes):
-            found.setdefault(99, (frontier[0], classes[0][0]))
+        def expand(frontier, keys, seen, append, keep, link, found, cap, classes):
+            found.setdefault(99, (keys[0], classes[0][0]))
             return False
 
-        return expand, ((1, 2),)
+        return expand, ((1, 2),), ((0, 2),)
 
     monkeypatch.setattr(reachfuzz.oracle, "compile_expand", fake_compile_expand)
     with pytest.raises(RuntimeError, match=r"undeclared error ids \[99\]"):
