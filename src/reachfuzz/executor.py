@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import wraps
 from operator import itemgetter
 
-from .cfg import CapacityError, Cfg, Exit, Jump, build_cfg
+from .cfg import Branch, CapacityError, Cfg, Exit, Jump, build_cfg
 from .frontend import I64_MAX, I64_MIN, Assign, Binary, IntLit, Name, Program, Unary, is_arith
 from .instrument import InstrumentationPlan
 from .interval import (
@@ -308,7 +308,8 @@ def _probe(lines: "list[str]", pad: str, prev: "int | None", tag: int) -> None:
 
 # Non-ok exit templates, one source line each, formatted with the error
 # id k. The campaign target leaves its step loop with a status word; the
-# oracle's expander records the error and moves on to the next symbol.
+# oracle's expander records the error and moves on to the next symbol
+# (compile_expand turns continue into break in a body that runs once).
 _BREAK_ERROR = ("st = 'error'", "err = {k}", "break")
 _BREAK_REJECT = ("st = 'invalid_input'", "break")
 _SKIP_ERROR = ("if {k} not in found:", "    found[{k}] = (key, _s)", "continue")
@@ -631,6 +632,38 @@ def unpack_key(key: int, digits) -> "tuple[int, ...]":
     return tuple(values)
 
 
+def _assigned(g: Cfg, writes: list, fold: _ExprGen) -> set:
+    """The globals that _emit_body(g, ..., fold, ...) assigns: the union
+    of writes, a set of names per block, over the blocks it emits,
+    walked from the entry with an explicit stack. A branch that fold
+    decides leads to its taken arm, any other to both arms and its join.
+    fold caches each decision for the emission."""
+    names: set = set()
+    blocks, decide = g.blocks, fold.decide
+    todo, met = [g.entry], {g.entry}
+    while todo:
+        bid = todo.pop()
+        names |= writes[bid]
+        term = blocks[bid].term
+        if type(term) is Jump:
+            nxt: tuple = (term.target,)
+        elif type(term) is Branch:
+            known = decide(term.cond)
+            if known is not None:
+                nxt = (term.then_id if known else term.else_id,)
+            elif term.join_id is None:
+                nxt = (term.then_id, term.else_id)
+            else:
+                nxt = (term.then_id, term.else_id, term.join_id)
+        else:
+            continue
+        for bid in nxt:
+            if bid not in met:
+                met.add(bid)
+                todo.append(bid)
+    return names
+
+
 @_nesting_limit
 def compile_expand(program: Program):
     """Uninstrumented expansion of a whole BFS level, for exhaustive
@@ -654,50 +687,52 @@ def compile_expand(program: Program):
 
     Contract: every state of frontier lies in the box, as every
     reachable state does. The wrap tests and the key of a successor
-    rest on it: each body starts with nk = key and each assignment keeps
-    nk current (_ExprGen.assign), so a successor is looked up in seen
-    by its key, with no tuple built or hashed unless it is new. The
-    step is walked once, by inductive_box, which also gives the wrap
-    tests their bounds.
+    rest on it: each state is unpacked once into _g0.._gN, each body
+    starts with nk = key and each assignment keeps nk current
+    (_ExprGen.assign), so a successor is looked up in seen by its key,
+    with no tuple built or hashed unless it is new. A body reads the
+    globals it never assigns from the _g names; for each global that it
+    can assign (_assigned), and only those, it first copies _gK to _hK
+    and works on _hK. The step is walked once, by inductive_box, which
+    also gives the wrap tests their bounds. A countdown of the room
+    left under cap admits new states.
 
     The alphabet is cut into input classes (_input_classes), and each
     class gets its own body, folded as the campaign target is but with
     the input at the class interval: a decided branch becomes its taken
     arm and a decided operand of && or || is dropped. A class whose
-    every path rejects gets no body. Bodies that no longer name the input and have
-    the same text are merged and run once, for their smallest symbol; a
-    body that still names the input runs for each symbol of its class.
-    The bodies run in the order of their smallest symbol, so appends,
-    refusals and found entries come in the order of stepping each symbol
-    in turn. Passing classes with one body's tuple set to (symbol,) and
-    the others empty steps by that symbol alone.
+    every path rejects gets no body. Bodies that no longer name the
+    input and have the same text are merged and run once, for their
+    smallest symbol, as a `while cJ:` block that ends in break and
+    records that symbol as a literal; a body that still names the input
+    runs for each symbol of its class, in a `for _s in cJ:` loop that
+    copies afresh for each symbol. The bodies run in the order of their
+    smallest symbol, so appends, refusals and found entries come in the
+    order of stepping each symbol in turn. Passing classes with one
+    body's tuple set to (symbol,) and the others empty steps by that
+    symbol alone.
     """
     g = build_cfg(program)
+    writes = [{st.name for st in blk.stmts if isinstance(st, Assign)} for blk in g.blocks]
     box, bounds = inductive_box(program)
-    gen, unpack, tuple_src = _names(program, bounds)
+    gen, unpack, _ = _names(program, bounds)
+    names = program.global_names()
     digits = tuple((iv.lo, iv.hi - iv.lo + 1) for iv in box.values())
+    held = {name: "_h" + gen.rename[name][2:] for name in names}  # K -> _hK
     scale, m = {}, 1
     for name, (_, radix) in zip(box, digits):
-        scale[gen.rename[name]] = m
+        scale[held[name]] = m
         m *= radix
     pad = "            "
-    epilogue = [
-        f"{pad}if nk not in seen:",
-        f"{pad}    if len(seen) < cap:",
-        f"{pad}        seen_add(nk)",
-        f"{pad}        append({tuple_src})",
-        f"{pad}        keep(nk)",
-        f"{pad}        link(key)",
-        f"{pad}    else:",
-        f"{pad}        full = True",
-    ]
     classes: "list[tuple[int, ...]]" = []
-    bodies: "list[list[str]]" = []
+    bodies: "list[str]" = []
     merged: set = set()
     for run in _input_classes(program):
         env = dict(gen.env, **{program.param: Interval(run.start, run.stop - 1)})
         fold = _ExprGen(gen.rename, bounds, env, program.param, scale)
-        body = [f"{pad}{unpack}= values"] if unpack else []
+        assigned = _assigned(g, writes, fold)
+        fold.rename = dict(gen.rename, **{name: held[name] for name in assigned})
+        body = [f"{pad}{held[name]} = {gen.rename[name]}" for name in names if name in assigned]
         body.append(f"{pad}nk = key")
         end, _ = _emit_body(
             g, frozenset(), fold, body, g.entry, None, 3,
@@ -706,29 +741,45 @@ def compile_expand(program: Program):
         if end == _DEAD and not any("found[" in line for line in body):
             continue  # every path rejects
         if end != _DEAD:
-            body.extend(epilogue)
+            successor = "".join(fold.rename[name] + ", " for name in names)
+            body.extend([
+                f"{pad}if nk not in seen:",
+                f"{pad}    if room:",
+                f"{pad}        room -= 1",
+                f"{pad}        seen_add(nk)",
+                f"{pad}        append(({successor}))",
+                f"{pad}        keep(nk)",
+                f"{pad}        link(key)",
+                f"{pad}    else:",
+                f"{pad}        full = True",
+            ])
+        text = "\n".join(body)
+        j = len(bodies)
         if fold.reads_input:
             classes.append(tuple(run))
-        else:
-            text = "\n".join(body)
-            if text in merged:
-                continue
-            merged.add(text)
-            classes.append((run.start,))
-        bodies.append(body)
+            bodies.append(f"        for _s in c{j}:\n{text}")
+            continue
+        if text in merged:
+            continue
+        merged.add(text)
+        classes.append((run.start,))
+        # a body that runs once ends every path in break
+        text = text.replace("(key, _s)", f"(key, {run.start})").replace("continue", "break")
+        bodies.append(f"        while c{j}:\n{text}\n{pad}break")
 
     lines = [
         "def _expand(frontier, keys, seen, append, keep, link, found, cap, classes):",
         "    full = False",
         "    seen_add = seen.add",
+        "    room = max(cap - len(seen), 0)",
     ]
     if bodies:
         lines.append("    " + "".join(f"c{j}, " for j in range(len(bodies))) + "= classes")
     lines.append("    for values, key in zip(frontier, keys):")
-    for j, body in enumerate(bodies):
-        lines.append(f"        for _s in c{j}:")
-        lines.extend(body)
-    if not bodies:
+    if unpack:
+        lines.append(f"        {unpack}= values")
+    lines.extend(bodies)
+    if not bodies and not unpack:
         lines.append("        pass")
     lines.append("    return full")
     expand = _compile("\n".join(lines) + "\n", "<compiled-expand>", "_expand")

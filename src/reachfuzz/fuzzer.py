@@ -372,7 +372,8 @@ def fuzz_loop(
     max_seconds: "float | None" = None,
 ) -> Campaign:
     """Round-robin the queue until the budget runs out or every syntactic
-    error id has a witness, and return c. Retention: any novel branch
+    error id has a witness, and return c, at once when the queue is
+    empty. Retention: any novel branch
     bucket bit, or any novel state-map index outside the baseline. A
     retained input is trimmed. check_budget's ValueError refuses a
     budget that could not end the loop."""
@@ -390,7 +391,7 @@ def fuzz_loop(
             return True
         return len(c.errors) >= total_ids
 
-    while not done():
+    while c.queue and not done():
         for qi in range(len(c.queue)):
             entry = c.queue[qi]
             for _ in range(schedule_energy(entry, config)):

@@ -4,7 +4,8 @@ Ground truth for small programs: states are exact global valuations,
 and transitions come from the same code generator as the campaign
 target. The expander cuts the alphabet into input classes and folds the
 step body once per class, and one generated call expands a whole BFS
-level. Only the level being expanded is held as valuation tuples; the
+level, unpacking each state once; a class body copies only the globals
+it can assign. Only the level being expanded is held as valuation tuples; the
 visited set and the earlier levels hold one int key per state. A key is
 a mixed-radix number with one digit per global, the global's offset in
 interval.inductive_box's box, which holds every reachable valuation. So

@@ -209,6 +209,15 @@ def test_seeding_stops_at_the_budget():
     )
 
 
+def test_fuzz_loop_returns_at_once_on_an_empty_queue():
+    # a zero seeding budget leaves the queue empty: no input to mutate
+    p = parse_or_raise(ERROR_ON_TWO)
+    c = init_campaign(p, seed=1, max_execs=0)
+    assert c.queue == []
+    assert fuzz_loop(c, max_execs=5) is c
+    assert c.execs == 0 and c.errors == {}
+
+
 @pytest.mark.parametrize("budget", [-1, -3])
 def test_init_campaign_refuses_a_negative_budget(budget):
     p = parse_or_raise(ERROR_ON_TWO)

@@ -81,6 +81,22 @@ BOX_PROGRAMS = (
     "if (a < 4) { a = a + in; } else { a = 0; } b = a * 3; if (b == 15) { error 1; } }",
 )
 
+# the copies of assigned globals: a class of three symbols that reads
+# the input and assigns a global (each symbol must start from the state
+# before the step), a global assigned in one arm of an if and read after
+# the join, and a global read in a condition before its assignment and
+# in another one after it
+COPY_PROGRAMS = (
+    "inputs 1..4; var a = 0; var b = 1; step(in){ "
+    "if (in < 4) { a = a + in + b; if (a > 6) { a = a - 7; b = 1 - b; } } "
+    "if (a == 5 && b == 0) { error 1; } }",
+    "inputs 1..2; var a = 0; var b = 0; step(in){ "
+    "if (b == 0) { a = a + 1; } if (a > 3) { a = 0; b = 1 - b; } "
+    "if (a == 2 && b == 1) { error 1; } }",
+    "inputs 1..3; var a = 0; step(in){ if (a == 2) { error 1; } "
+    "if (in == 2) { a = a + 1; } if (a > 2) { a = 0; } if (a == 1 && in == 3) { error 2; } }",
+)
+
 # the generator shapes and seeds of the benchmark's family, deep-state
 # and triage workloads
 BENCHMARK_SHAPES = (
@@ -141,7 +157,9 @@ def reference_bfs(program, state_cap: int, depth_cap: int) -> OracleResult:
 
 
 def small_programs():
-    yield from (parse_or_raise(text) for text in EDGE_PROGRAMS + CLASS_PROGRAMS + BOX_PROGRAMS)
+    yield from (
+        parse_or_raise(text) for text in EDGE_PROGRAMS + CLASS_PROGRAMS + COPY_PROGRAMS + BOX_PROGRAMS
+    )
     for seed in range(8):
         yield generate_program(vars=2, domain=3, alphabet=3, errors=4, seed=seed)
     for seed in range(4):
@@ -419,6 +437,43 @@ def test_expander_folds_each_input_class():
     # the input
     wide = classes_of(CLASS_PROGRAMS[-2])
     assert len(wide) <= 5 and all(len(symbols) == 1 for symbols in wide)
+
+
+def test_expander_unpacks_once_and_copies_only_what_a_body_assigns(monkeypatch):
+    """The generated _expand unpacks each state once, runs a merged body
+    without a per-symbol loop, and copies into _hK only the globals a
+    body assigns."""
+    sources = []
+
+    def capture(source, filename, name):
+        sources.append(source)
+        return original(source, filename, name)
+
+    original = reachfuzz.executor._compile
+    monkeypatch.setattr(reachfuzz.executor, "_compile", capture)
+    # {1, 2} reads the input and assigns a; {3} is merged and assigns b;
+    # {4} is merged and assigns nothing
+    compile_expand(parse_or_raise(
+        "inputs 1..4; var a = 0; var b = 0; var c = 0; step(in){ "
+        "if (in < 3) { a = in; } if (in == 3) { b = c; } if (b == 1 && in == 4) { error 1; } }"
+    ))
+    [source] = sources
+    lines = source.splitlines()
+    assert sum("= values" in line for line in lines) == 1
+    assert "        _g0, _g1, _g2, = values" in lines
+    body_source = source.split("        for _s in c0:\n")[1].split("    return full")[0]
+    bodies = body_source.split("        while ")
+    assert len(bodies) == 3
+    loop, merged_b, merged_none = bodies
+    assert "_h0 = _g0" in loop and "_h1" not in loop and "_h2" not in loop
+    assert "append((_h0, _g1, _g2, ))" in loop
+    for body in (merged_b, merged_none):
+        assert "for _s" not in body and "_s" not in body.replace("seen_add", "")
+        assert body.rstrip().endswith("break")
+    assert "_h1 = _g1" in merged_b and "_h0" not in merged_b and "_h2" not in merged_b
+    assert "_h" not in merged_none
+    # the error of {4} is recorded with its symbol as a literal
+    assert "found[1] = (key, 4)" in merged_none
 
 
 def test_fold_drops_decided_operands():
